@@ -140,12 +140,16 @@ def partition_manifest(manifest: Manifest, n_clients: int, seed: int) -> list[Ma
 
 def local_train(global_params: ModelParams, shard: ClientShard,
                 config: TrainConfig, round_index: int = 0) -> ClientUpdate:
-    """One client's round: copy the global model, fit on the shard only."""
+    """One client's round: copy the global model, fit on the shard only.
+
+    The round's reports are computed on the aggregate, so the client skips
+    fit's per-epoch accuracy passes.
+    """
     if len(shard) == 0:
         raise EmptyShard(f"client {shard.client_id} has no samples")
     rng = np.random.default_rng(
         client_stream_seed(config.seed, client_ordinal(shard.client_id), round_index))
-    params, _ = fit(global_params, shard.samples, config, rng)
+    params, _ = fit(global_params, shard.samples, config, rng, score_train=False)
     return ClientUpdate(client_id=shard.client_id, round_index=round_index,
                         params=params, n_samples=len(shard))
 

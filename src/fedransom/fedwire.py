@@ -118,17 +118,25 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 
 
 def read_frame(sock: socket.socket) -> Optional[Frame]:
-    """One whole frame from the socket, or None on a clean close."""
+    """One whole frame from the socket, or None on a clean close.
+
+    The header is checked before the payload is read, so an unknown type or
+    an oversize length is rejected without buffering anything after it.
+    """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
-    length, _ = _HEADER.unpack(header)
+    length, msg_type = _HEADER.unpack(header)
+    if msg_type not in _KNOWN_TYPES:
+        raise UnknownFrameType(f"message type 0x{msg_type:02x} is not in the protocol")
     if length > MAX_PAYLOAD:
         raise OversizeFrame(f"declared payload of {length} bytes exceeds {MAX_PAYLOAD}")
-    payload = _recv_exact(sock, length) if length else b""
-    if length and payload is None:
+    if not length:
+        return Frame(msg_type, b"")
+    payload = _recv_exact(sock, length)
+    if payload is None:
         raise TruncatedFrame("connection closed before the payload")
-    return decode_frame(header + (payload or b""))
+    return Frame(msg_type, payload)
 
 
 @dataclass

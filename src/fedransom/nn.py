@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset, one_hot
 from .errors import EmptyDataset, FedransomError, InvalidRate, ShapeMismatch
@@ -23,6 +24,7 @@ from .imaging import MIN_SIDE
 N_FILTERS = 32
 KERNEL_SIDE = 3
 N_CLASSES = 2
+PREDICT_CHUNK_BYTES = 64 << 20  # one chunk's conv output: 128 samples at side 64
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,7 @@ class ModelParams:
 
     @property
     def side(self) -> int:
-        width = self.dense_weights.shape[1]
-        side = math.isqrt(width // N_FILTERS)
-        return side
+        return math.isqrt(self.dense_weights.shape[1] // N_FILTERS)
 
     def named(self) -> dict[str, np.ndarray]:
         return {
@@ -109,9 +109,9 @@ def init_params(side: int, seed: int, dtype=np.float32) -> ModelParams:
     ))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Elementwise max(0, x); pass out=x to work in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def softmax_output(h: np.ndarray) -> np.ndarray:
@@ -121,14 +121,22 @@ def softmax_output(h: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _patches(batch: np.ndarray) -> np.ndarray:
+    """im2col: the (n, 9c, h*w) matrix of every zero-padded 3x3 neighbourhood,
+    rows ordered (channel, row tap, column tap) like a flattened kernel."""
+    n, c, h, w = batch.shape
+    padded = np.pad(batch, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(padded, (KERNEL_SIDE, KERNEL_SIDE), axis=(2, 3))
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * KERNEL_SIDE ** 2, h * w)
+
+
 def conv2d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with a one-pixel zero border.
 
     Accepts a single (c, h, w) image or an (n, c, h, w) batch; the output
     keeps the spatial size of the input.
     """
-    single = x.ndim == 3
-    batch = x[None] if single else x
+    batch = x[None] if x.ndim == 3 else x
     if batch.ndim != 4:
         raise ShapeMismatch(f"expected 3-d or 4-d input, got {x.shape}")
     if kernels.ndim != 4 or kernels.shape[2:] != (KERNEL_SIDE, KERNEL_SIDE):
@@ -142,35 +150,31 @@ def conv2d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     if h < KERNEL_SIDE or w < KERNEL_SIDE:
         raise ShapeMismatch(f"spatial size {h}x{w} below kernel size")
 
-    padded = np.pad(batch, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.empty((n, n_filters, h, w), dtype=batch.dtype)
-    out[:] = bias.reshape(1, n_filters, 1, 1)
-    for i in range(KERNEL_SIDE):
-        for j in range(KERNEL_SIDE):
-            patch = padded[:, :, i : i + h, j : j + w]
-            if c == 1:
-                out += patch * kernels[:, 0, i, j].reshape(1, n_filters, 1, 1)
-            else:
-                out += np.einsum("nchw,fc->nfhw", patch, kernels[:, :, i, j], optimize=True)
-    return out[0] if single else out
+    out = np.matmul(kernels.reshape(n_filters, -1), _patches(batch))
+    out += bias[:, None]
+    return out.reshape(x.shape[:-3] + (n_filters, h, w))
 
 
 def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
-            training: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: zero with probability *rate*, scale survivors.
-
-    Returns (output, mask); output = x * mask. In eval mode, or at rate 0,
-    the mask is all ones and the input passes through unchanged.
-    """
+            training: bool, gate: Optional[np.ndarray] = None,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted dropout: returns (x * keep / (1 - rate), keep), keep a boolean
+    mask. A given *gate*, such as ReLU's x > 0, is ANDed into keep in place.
+    Without a gate, in eval mode or at rate 0, the output equals the input."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x, np.ones_like(x)
-    if rng is None:
-        raise ValueError("training-mode dropout needs a generator")
-    keep = rng.random(x.shape, dtype=np.float32) >= rate
-    mask = keep.astype(x.dtype) / x.dtype.type(1.0 - rate)
-    return x * mask, mask
+    keep = np.ones(x.shape, dtype=bool) if gate is None else gate
+    if training and rate > 0.0:
+        if rng is None:
+            raise ValueError("training-mode dropout needs a generator")
+        keep &= rng.random(x.shape, dtype=np.float32) >= rate
+    out = x * _survivor_scale(x.dtype, rate, training)
+    out *= keep
+    return out, keep
+
+
+def _survivor_scale(dtype: np.dtype, rate: float, training: bool):
+    return dtype.type(1.0) / dtype.type(1.0 - rate if training else 1.0)
 
 
 @dataclass(frozen=True)
@@ -178,32 +182,35 @@ class ForwardTrace:
     """Every intermediate the backward pass needs."""
 
     batch: np.ndarray        # (n, 1, side, side)
-    conv_pre: np.ndarray     # pre-activation conv output
-    dropout_mask: np.ndarray
+    gate: np.ndarray         # bool, conv pre-activation > 0 and kept by dropout
+    scale: np.floating       # dropout survivor scale, 1 outside training
     flat: np.ndarray         # post-dropout activations, flattened per sample
     logits: np.ndarray       # (n, 2)
     probs: np.ndarray        # (n, 2), rows sum to 1
 
 
-def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
-            rng: Optional[np.random.Generator] = None,
-            training: bool = False) -> ForwardTrace:
-    """Run the full stack: conv, ReLU, dropout, flatten, dense, softmax."""
+def _conv_layer(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
     if batch.ndim != 4 or batch.shape[1] != 1:
         raise ShapeMismatch(f"expected (n, 1, side, side) batch, got {batch.shape}")
-    n = batch.shape[0]
-    width = N_FILTERS * batch.shape[2] * batch.shape[3]
-    if params.dense_weights.shape[1] != width:
+    if params.dense_weights.shape[1] != N_FILTERS * batch.shape[2] * batch.shape[3]:
         raise ShapeMismatch(
             f"batch side {batch.shape[2]} does not match dense width "
             f"{params.dense_weights.shape[1]}")
-    conv_pre = conv2d_same(batch, params.conv_kernels, params.conv_bias)
-    act = relu(conv_pre)
-    dropped, mask = dropout(act, config.dropout_rate, rng, training)
-    flat = dropped.reshape(n, width)
+    return conv2d_same(batch, params.conv_kernels, params.conv_bias)
+
+
+def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
+            rng: Optional[np.random.Generator] = None,
+            training: bool = False) -> ForwardTrace:
+    """Run the full stack: conv, ReLU, dropout, flatten, dense, softmax.
+    ReLU and dropout share one boolean gate."""
+    conv_pre = _conv_layer(params, batch)
+    dropped, gate = dropout(conv_pre, config.dropout_rate, rng, training, conv_pre > 0)
+    scale = _survivor_scale(conv_pre.dtype, config.dropout_rate, training)
+    flat = dropped.reshape(batch.shape[0], -1)
     logits = flat @ params.dense_weights.T + params.dense_bias
-    probs = softmax_output(logits)
-    return ForwardTrace(batch, conv_pre, mask, flat, logits, probs)
+    return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits))
 
 
 def loss_and_grad(trace: ForwardTrace, labels: np.ndarray,
@@ -212,8 +219,8 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray,
 
     *labels* is one-hot, shape (n, 2). The loss is computed from the
     logits via log-sum-exp so confident mistakes stay finite. Gradients
-    flow through the dense layer, the stored dropout mask, the ReLU gate,
-    and the convolution; the returned object has parameter shapes.
+    flow through the dense layer, the stored ReLU-and-dropout gate, and
+    the convolution; the returned object has parameter shapes.
     """
     n = trace.batch.shape[0]
     if labels.shape != trace.probs.shape:
@@ -227,19 +234,13 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray,
     d_dense_w = d_logits.T @ trace.flat
     d_dense_b = d_logits.sum(axis=0)
 
-    d_flat = d_logits @ params.dense_weights
-    d_dropped = d_flat.reshape(trace.conv_pre.shape) * trace.dropout_mask
-    d_pre = d_dropped * (trace.conv_pre > 0)
-
-    d_conv_b = d_pre.sum(axis=(0, 2, 3))
-    h, w = trace.batch.shape[2:]
-    padded = np.pad(trace.batch, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    d_kernels = np.empty_like(params.conv_kernels)
-    for i in range(KERNEL_SIDE):
-        for j in range(KERNEL_SIDE):
-            patch = padded[:, :, i : i + h, j : j + w]
-            d_kernels[:, :, i, j] = np.einsum("nfhw,nchw->fc", d_pre, patch, optimize=True)
-    return loss, ModelParams(d_kernels, d_conv_b, d_dense_w, d_dense_b)
+    d_pre = (d_logits * trace.scale) @ params.dense_weights
+    d_pre *= trace.gate.reshape(n, -1)
+    d_pre = d_pre.reshape(n, N_FILTERS, -1)
+    d_conv_b = d_pre.sum(axis=(0, 2))
+    d_kernels = np.matmul(d_pre, _patches(trace.batch).transpose(0, 2, 1)).sum(axis=0)
+    return loss, ModelParams(d_kernels.reshape(params.conv_kernels.shape), d_conv_b,
+                             d_dense_w, d_dense_b)
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
@@ -255,19 +256,24 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
     return ModelParams(**new)
 
 
-def predict(params: ModelParams, batch: np.ndarray, threshold: float = 0.5,
-            chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def predict(params: ModelParams, batch: np.ndarray,
+            threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode class labels and probabilities.
 
     A sample is called ransomware (1) when its class-1 probability strictly
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
-    tie resolved to class 0.
+    tie resolved to class 0. Chunks of the batch run in turn, each conv
+    output within PREDICT_CHUNK_BYTES.
     """
-    cfg = TrainConfig(side=params.side)
+    # the dense width is the size of one sample's conv output
+    chunk = max(1, PREDICT_CHUNK_BYTES // (params.dense_weights.shape[1] * batch.itemsize))
     probs = np.empty((batch.shape[0], N_CLASSES), dtype=np.float32)
     for start in range(0, batch.shape[0], chunk):
-        part = batch[start : start + chunk]
-        probs[start : start + len(part)] = forward(params, part, cfg, training=False).probs
+        act = _conv_layer(params, batch[start : start + chunk])
+        relu(act, out=act)
+        logits = act.reshape(len(act), -1) @ params.dense_weights.T + params.dense_bias
+        probs[start : start + len(act)] = softmax_output(logits)
+        del act  # so the next chunk's conv output does not overlap this one
     labels = (probs[:, 1] > threshold).astype(np.int64)
     return labels, probs
 
@@ -281,17 +287,19 @@ def accuracy(params: ModelParams, dataset: Dataset) -> float:
 class EpochStats:
     epoch: int
     train_loss: float
-    train_accuracy: float
+    train_accuracy: Optional[float]
     val_accuracy: Optional[float] = None
 
 
 def fit(params: ModelParams, train: Dataset, config: TrainConfig,
-        rng: np.random.Generator,
-        val: Optional[Dataset] = None) -> tuple[ModelParams, list[EpochStats]]:
+        rng: np.random.Generator, val: Optional[Dataset] = None,
+        score_train: bool = True) -> tuple[ModelParams, list[EpochStats]]:
     """Mini-batch SGD over shuffled epochs; the short final batch is kept.
 
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
+    Without *score_train* the per-epoch pass over the training set is
+    skipped and train_accuracy is None; the weights do not change.
     """
     if len(train) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
@@ -304,8 +312,10 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         losses = []
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
-            trace = forward(params, train.images[idx], config, rng, training=True)
-            loss, grads = loss_and_grad(trace, labels[idx], params)
+            # the trace is dropped as soon as the gradients exist
+            loss, grads = loss_and_grad(
+                forward(params, train.images[idx], config, rng, training=True),
+                labels[idx], params)
             if not math.isfinite(loss):
                 raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
             params = sgd_step(params, grads, config.learning_rate)
@@ -313,7 +323,7 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         history.append(EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(losses)),
-            train_accuracy=accuracy(params, train),
+            train_accuracy=accuracy(params, train) if score_train else None,
             val_accuracy=accuracy(params, val) if val is not None and len(val) else None,
         ))
     return params, history

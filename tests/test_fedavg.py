@@ -174,6 +174,23 @@ def test_sole_client_training_equals_centralized_fit():
     assert params_equal(update.params, central)
 
 
+def test_local_train_equals_fit_and_skips_accuracy_passes(monkeypatch):
+    ds = tiny_dataset(n=10, side=8, seed=13)
+    cfg = nn.TrainConfig(side=8, epochs=2, batch_size=4, seed=17)
+    global_params = nn.init_params(8, 17)
+
+    def no_accuracy(*_args, **_kwargs):
+        raise AssertionError("local_train ran an accuracy pass")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "accuracy", no_accuracy)
+        update = local_train(global_params, ClientShard("client-2", ds), cfg, round_index=3)
+    stream = np.random.default_rng(client_stream_seed(cfg.seed, 2, 3))
+    fitted, history = nn.fit(global_params, ds, cfg, stream)
+    assert params_equal(update.params, fitted)
+    assert [h.train_accuracy is not None for h in history] == [True, True]
+
+
 def test_local_train_rejects_empty_shard():
     empty = tiny_dataset(n=10, side=8, seed=0).subset([])
     with pytest.raises(EmptyShard):

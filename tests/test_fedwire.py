@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 from helpers import params_equal, random_params, tiny_dataset
@@ -79,6 +80,34 @@ def test_weight_blob_round_trip():
         encode_weight_blob(5, 77, params))
     assert (round_index, n_samples) == (5, 77)
     assert params_equal(params, again)
+
+
+def test_read_frame_rejects_unknown_type_before_the_payload():
+    reader, writer = socket.socketpair()
+    try:
+        reader.settimeout(5.0)
+        # declares a 1000-byte payload that never comes
+        writer.sendall((1000).to_bytes(4, "little") + bytes([0x09]))
+        t0 = time.monotonic()
+        with pytest.raises(UnknownFrameType):
+            read_frame(reader)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        reader.close()
+        writer.close()
+
+
+def test_read_frame_returns_the_payload():
+    reader, writer = socket.socketpair()
+    try:
+        reader.settimeout(5.0)
+        writer.sendall(encode_frame(MSG_ERROR, b"ab") + encode_frame(MSG_FIN))
+        writer.close()
+        assert read_frame(reader) == Frame(MSG_ERROR, b"ab")
+        assert read_frame(reader) == Frame(MSG_FIN, b"")
+        assert read_frame(reader) is None
+    finally:
+        reader.close()
 
 
 def _free_listener():

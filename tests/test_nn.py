@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,34 @@ def test_conv_zero_input_yields_bias_planes():
     out = nn.conv2d_same(x, k, bias)
     for f, b in enumerate(bias):
         assert (out[f] == b).all()
+
+
+def _conv_by_pixel(x, kernels, bias):
+    """Direct float64 cross-correlation, one output pixel at a time."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2, w + 2))
+    padded[:, :, 1:-1, 1:-1] = x
+    out = np.empty((n, kernels.shape[0], h, w))
+    for s in range(n):
+        for f in range(kernels.shape[0]):
+            for r in range(h):
+                for q in range(w):
+                    out[s, f, r, q] = bias[f] + float(
+                        (padded[s, :, r:r + 3, q:q + 3] * kernels[f]).sum())
+    return out
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_conv_matches_per_pixel_oracle(channels):
+    rng = np.random.default_rng(channels)
+    x = rng.random((2, channels, 5, 7))
+    k = rng.standard_normal((4, channels, 3, 3))
+    bias = rng.standard_normal(4)
+    want = _conv_by_pixel(x, k, bias)
+    assert np.abs(nn.conv2d_same(x, k, bias) - want).max() < 1e-12
+    got32 = nn.conv2d_same(*(a.astype(np.float32) for a in (x, k, bias)))
+    assert got32.dtype == np.float32
+    assert np.abs(got32 - want).max() < 1e-5
 
 
 def test_conv_shape_validation():
@@ -290,6 +319,20 @@ def test_predict_follows_probabilities():
     labels, probs = nn.predict(boosted, batch)
     assert probs[0, 0] > 0.9
     assert labels[0] == 0
+
+
+def test_predict_memory_is_bounded_at_reference_side():
+    # one unchunked eval pass over 24 side-300 images holds a 264 MiB conv output
+    params = nn.init_params(300, 0)
+    batch = np.zeros((24, 1, 300, 300), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        labels, _ = nn.predict(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (24,)
+    assert peak < 128 * 2 ** 20, f"predict peaked at {peak / 2 ** 20:.0f} MiB"
 
 
 def test_parameter_counts_at_reference_side():
