@@ -45,8 +45,11 @@ def write_tensors(named: dict[str, np.ndarray]) -> bytes:
 
 
 def read_tensors(blob: bytes) -> dict[str, np.ndarray]:
+    """The named tensors of *blob*, any bytes-like object; each tensor is
+    the one copy made of its payload."""
+    blob = memoryview(blob)
     if blob[:4] != MAGIC:
-        raise CorruptCheckpoint(f"bad magic {blob[:4]!r}")
+        raise CorruptCheckpoint(f"bad magic {bytes(blob[:4])!r}")
     try:
         version, count = _HEAD.unpack_from(blob, 4)
         if version != VERSION:
@@ -58,7 +61,7 @@ def read_tensors(blob: bytes) -> dict[str, np.ndarray]:
             offset += _NAME_LEN.size
             if len(blob) < offset + name_len:
                 raise CorruptCheckpoint("truncated tensor name")
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = str(blob[offset : offset + name_len], "utf-8")
             offset += name_len
             (rank,) = _RANK.unpack_from(blob, offset)
             offset += _RANK.size

@@ -200,11 +200,14 @@ def split(manifest: Manifest, spec: SplitSpec) -> tuple[Manifest, Manifest, Mani
 
 
 def load_dataset(manifest: Manifest, side: int) -> Dataset:
-    """Read every file in manifest order and image it at the given side."""
+    """Image every file in manifest order at the given side.
+
+    Only the first side*side bytes of a file are read: the image uses no more.
+    """
     images = []
     for e in manifest.entries:
-        blob = (manifest.base_dir / e.path).read_bytes()
-        images.append(bytes_to_image(blob, side))
+        with (manifest.base_dir / e.path).open("rb") as fh:
+            images.append(bytes_to_image(fh.read(side * side), side))
     return from_images(images, [e.label for e in manifest.entries])
 
 

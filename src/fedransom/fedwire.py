@@ -42,6 +42,7 @@ _HEADER = struct.Struct("<IB")
 _BLOB_HEAD = struct.Struct("<II")
 _HELLO_HEAD = struct.Struct("<I")
 MAX_PAYLOAD = 2 ** 31
+_RECV_START = 1 << 20
 
 DEFAULT_IDLE_TIMEOUT = 300.0
 
@@ -49,7 +50,7 @@ DEFAULT_IDLE_TIMEOUT = 300.0
 @dataclass(frozen=True)
 class Frame:
     msg_type: int
-    payload: bytes
+    payload: bytes  # a bytearray when read from a socket
 
 
 def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
@@ -95,33 +96,43 @@ def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:
     if len(payload) < _BLOB_HEAD.size:
         raise TruncatedFrame("weight blob shorter than its header")
     round_index, n_samples = _BLOB_HEAD.unpack_from(payload)
-    return round_index, n_samples, params_from_bytes(payload[_BLOB_HEAD.size :])
+    return round_index, n_samples, params_from_bytes(memoryview(payload)[_BLOB_HEAD.size :])
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None:
+    # one sendall: a header sent apart from its payload can stall on Nagle
+    # and delayed ACK
     sock.sendall(encode_frame(msg_type, payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """n bytes, or None on a clean close at a frame boundary."""
-    chunks = []
+def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
+    """n bytes read into one buffer, or None on a clean close at a frame boundary.
+
+    The buffer starts at 1 MiB and doubles only when the bytes received so
+    far fill it, so a header that declares a large payload commits at most
+    twice the bytes that the peer actually sends.
+    """
+    buf = bytearray(min(n, _RECV_START))
     got = 0
     while got < n:
-        piece = sock.recv(min(n - got, 1 << 20))
-        if not piece:
+        if got == len(buf):
+            buf.extend(bytes(min(got, n - got)))
+        with memoryview(buf) as view:
+            read = sock.recv_into(view[got:])
+        if not read:
             if got == 0:
                 return None
             raise TruncatedFrame(f"connection closed {got} bytes into a {n}-byte read")
-        chunks.append(piece)
-        got += len(piece)
-    return b"".join(chunks)
+        got += read
+    return buf
 
 
 def read_frame(sock: socket.socket) -> Optional[Frame]:
     """One whole frame from the socket, or None on a clean close.
 
     The header is checked before the payload is read, so an unknown type or
-    an oversize length is rejected without buffering anything after it.
+    an oversize length is rejected without buffering anything after it, and
+    the payload buffer grows only as its bytes arrive.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:

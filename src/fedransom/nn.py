@@ -24,7 +24,8 @@ from .imaging import MIN_SIDE
 N_FILTERS = 32
 KERNEL_SIDE = 3
 N_CLASSES = 2
-PREDICT_CHUNK_BYTES = 64 << 20  # one chunk's conv output: 128 samples at side 64
+# one chunk's conv output in fit and predict: 128 samples at side 64, 5 at side 300
+CHUNK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,12 @@ def _patches(batch: np.ndarray) -> np.ndarray:
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * KERNEL_SIDE ** 2, h * w)
 
 
+def _chunk_size(params: ModelParams, batch: np.ndarray) -> int:
+    """Samples per chunk of *batch*: one chunk's conv output fits CHUNK_BYTES."""
+    # the dense width is the size of one sample's conv output
+    return max(1, CHUNK_BYTES // (params.dense_weights.shape[1] * batch.itemsize))
+
+
 def conv2d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with a one-pixel zero border.
 
@@ -213,9 +220,12 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
     return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits))
 
 
-def loss_and_grad(trace: ForwardTrace, labels: np.ndarray,
-                  params: ModelParams) -> tuple[float, ModelParams]:
-    """Mean cross-entropy and its exact gradients.
+def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
+                  batch_size: Optional[int] = None) -> tuple[float, ModelParams]:
+    """Cross-entropy and its exact gradients, summed over the traced samples
+    and divided by *batch_size* (default: the number of traced samples, so
+    the mean). With the size of a whole mini-batch, the results for its
+    chunks add up to the mini-batch's loss and gradients.
 
     *labels* is one-hot, shape (n, 2). The loss is computed from the
     logits via log-sum-exp so confident mistakes stay finite. Gradients
@@ -225,12 +235,13 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray,
     n = trace.batch.shape[0]
     if labels.shape != trace.probs.shape:
         raise ShapeMismatch(f"expected {trace.probs.shape} one-hot labels, got {labels.shape}")
+    divisor = trace.probs.dtype.type(n if batch_size is None else batch_size)
 
     shifted = trace.logits - trace.logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float((log_norm - (labels * shifted).sum(axis=1)).mean())
+    loss = float((log_norm - (labels * shifted).sum(axis=1)).sum() / divisor)
 
-    d_logits = (trace.probs - labels) / trace.probs.dtype.type(n)
+    d_logits = (trace.probs - labels) / divisor
     d_dense_w = d_logits.T @ trace.flat
     d_dense_b = d_logits.sum(axis=0)
 
@@ -241,6 +252,34 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray,
     d_kernels = np.matmul(d_pre, _patches(trace.batch).transpose(0, 2, 1)).sum(axis=0)
     return loss, ModelParams(d_kernels.reshape(params.conv_kernels.shape), d_conv_b,
                              d_dense_w, d_dense_b)
+
+
+def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndarray,
+                        config: TrainConfig, rng: np.random.Generator,
+                        ) -> tuple[float, ModelParams]:
+    """Training-mode loss and mean gradients of one mini-batch.
+
+    The batch runs in chunks of consecutive samples, each conv output
+    within CHUNK_BYTES, and the chunks' exact partial sums are added up.
+    Dropout masks are drawn chunk by chunk in sample order, which gives the
+    bits of one whole-batch draw. A batch that fits one chunk runs as one.
+    """
+    n = images.shape[0]
+    step = _chunk_size(params, images)
+    loss, grads = 0.0, None
+    for start in range(0, n, step):
+        part = slice(start, start + step)
+        # each trace is dropped as soon as its gradients exist
+        part_loss, part_grads = loss_and_grad(
+            forward(params, images[part], config, rng, training=True),
+            labels[part], params, batch_size=n)
+        loss += part_loss
+        if grads is None:
+            grads = part_grads
+        else:
+            for total, g in zip(grads.named().values(), part_grads.named().values()):
+                total += g
+    return loss, grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
@@ -263,10 +302,9 @@ def predict(params: ModelParams, batch: np.ndarray,
     A sample is called ransomware (1) when its class-1 probability strictly
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
     tie resolved to class 0. Chunks of the batch run in turn, each conv
-    output within PREDICT_CHUNK_BYTES.
+    output within CHUNK_BYTES.
     """
-    # the dense width is the size of one sample's conv output
-    chunk = max(1, PREDICT_CHUNK_BYTES // (params.dense_weights.shape[1] * batch.itemsize))
+    chunk = _chunk_size(params, batch)
     probs = np.empty((batch.shape[0], N_CLASSES), dtype=np.float32)
     for start in range(0, batch.shape[0], chunk):
         act = _conv_layer(params, batch[start : start + chunk])
@@ -298,6 +336,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
 
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
+    Each mini-batch goes through batch_loss_and_grad, in chunks that bound
+    its memory.
     Without *score_train* the per-epoch pass over the training set is
     skipped and train_accuracy is None; the weights do not change.
     """
@@ -312,10 +352,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         losses = []
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
-            # the trace is dropped as soon as the gradients exist
-            loss, grads = loss_and_grad(
-                forward(params, train.images[idx], config, rng, training=True),
-                labels[idx], params)
+            loss, grads = batch_loss_and_grad(params, train.images[idx], labels[idx],
+                                              config, rng)
             if not math.isfinite(loss):
                 raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
             params = sgd_step(params, grads, config.learning_rate)

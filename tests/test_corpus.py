@@ -7,8 +7,8 @@ from fedransom import corpus
 from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
                               read_manifest, scan_tree, split, synth_benign,
                               synth_ransomlike, write_manifest)
-from fedransom.errors import InvalidSplitSpec, SizeTooSmall, TooFewSamples
-from fedransom.imaging import entropy_profile, shannon_entropy
+from fedransom.errors import EmptyInput, InvalidSplitSpec, SizeTooSmall, TooFewSamples
+from fedransom.imaging import bytes_to_image, entropy_profile, shannon_entropy
 
 
 def test_generators_are_deterministic():
@@ -139,6 +139,26 @@ def test_load_dataset_preserves_order_and_labels(tmp_path):
     ds = corpus.load_dataset(manifest, side=16)
     assert ds.images.shape == (6, 1, 16, 16)
     assert ds.labels.tolist() == manifest.labels().tolist()
+
+
+def test_load_dataset_images_long_and_short_files_as_whole_reads(tmp_path):
+    side = 16
+    blobs = {"long.bin": np.random.default_rng(5).bytes(3 * side * side + 7),
+             "short.bin": b"\x80" * 100}
+    entries = []
+    for i, (name, blob) in enumerate(blobs.items()):
+        (tmp_path / name).write_bytes(blob)
+        entries.append(ManifestEntry(name, i % 2, len(blob), ""))
+    ds = corpus.load_dataset(Manifest(tuple(entries), tmp_path), side)
+    for image, blob in zip(ds.images, blobs.values()):
+        assert (image[0] == bytes_to_image(blob, side).pixels).all()
+
+
+def test_load_dataset_rejects_an_empty_file(tmp_path):
+    (tmp_path / "empty.bin").write_bytes(b"")
+    manifest = Manifest((ManifestEntry("empty.bin", 0, 0, ""),), tmp_path)
+    with pytest.raises(EmptyInput):
+        corpus.load_dataset(manifest, side=16)
 
 
 def test_scan_tree_infers_labels_from_directories(tmp_path):

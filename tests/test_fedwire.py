@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 from helpers import params_equal, random_params, tiny_dataset
@@ -108,6 +109,39 @@ def test_read_frame_returns_the_payload():
         assert read_frame(reader) is None
     finally:
         reader.close()
+
+
+def test_read_frame_buffers_only_what_arrives():
+    reader, writer = socket.socketpair()
+    try:
+        reader.settimeout(5.0)
+        # declares the largest allowed payload, then sends one byte of it
+        writer.sendall(fedwire.MAX_PAYLOAD.to_bytes(4, "little") + bytes([MSG_UPDATE, 7]))
+        writer.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFrame):
+                read_frame(reader)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+    finally:
+        reader.close()
+
+
+def test_read_frame_returns_a_payload_larger_than_the_first_buffer():
+    payload = bytes(range(256)) * (5 * 2**20 // 256 + 3)
+    reader, writer = socket.socketpair()
+    sender = threading.Thread(target=writer.sendall, args=(encode_frame(MSG_UPDATE, payload),))
+    try:
+        reader.settimeout(5.0)
+        sender.start()
+        assert read_frame(reader) == Frame(MSG_UPDATE, payload)
+    finally:
+        sender.join()
+        reader.close()
+        writer.close()
 
 
 def _free_listener():

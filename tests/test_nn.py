@@ -7,7 +7,7 @@ from helpers import (hinge_safe_bias, make_loss_fn, max_relative_error,
                      numeric_gradients, params_equal, random_params, tiny_dataset)
 
 from fedransom import nn
-from fedransom.data import one_hot
+from fedransom.data import Dataset, one_hot
 from fedransom.errors import EmptyDataset, InvalidRate, ShapeMismatch
 
 
@@ -293,6 +293,88 @@ def test_fit_keeps_short_final_batch():
     assert params_equal(params, manual)
 
 
+def _chunk_bytes(samples, side, itemsize=8):
+    """A CHUNK_BYTES budget that holds the conv output of *samples* samples."""
+    return samples * nn.N_FILTERS * side * side * itemsize
+
+
+def _recording(func, calls):
+    def wrapped(*args, **kwargs):
+        out = func(*args, **kwargs)
+        calls.append(out)
+        return out
+    return wrapped
+
+
+def test_fit_in_chunks_equals_whole_batch_fit(monkeypatch):
+    side = 12
+    rng = np.random.default_rng(31)
+    train = Dataset(rng.random((10, 1, side, side)), rng.integers(0, 2, 10))
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=10, seed=4, learning_rate=0.05)
+    params = nn.init_params(side, cfg.seed).astype(np.float64)
+    whole, whole_history = nn.fit(params, train, cfg, np.random.default_rng(cfg.seed))
+
+    # 3 samples per chunk: each batch of 10 runs as 3 + 3 + 3 + 1
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side))
+    traces = []
+    monkeypatch.setattr(nn, "forward", _recording(nn.forward, traces))
+    chunked, chunked_history = nn.fit(params, train, cfg, np.random.default_rng(cfg.seed))
+
+    assert [len(t.batch) for t in traces] == [3, 3, 3, 1] * cfg.epochs
+    for a, b in zip(chunked.named().values(), whole.named().values()):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    for c, w in zip(chunked_history, whole_history):
+        assert c.train_loss == pytest.approx(w.train_loss, rel=1e-12)
+        assert c.train_accuracy == w.train_accuracy
+
+
+def test_chunked_dropout_masks_equal_one_whole_batch_draw(monkeypatch):
+    side = 12
+    rng = np.random.default_rng(32)
+    images = rng.random((10, 1, side, side))
+    labels = one_hot(rng.integers(0, 2, 10)).astype(np.float64)
+    cfg = nn.TrainConfig(side=side, dropout_rate=0.25)
+    params = nn.init_params(side, 5).astype(np.float64)
+    # every pre-activation positive, so the keep mask is the random draw alone
+    params = nn.ModelParams(params.conv_kernels, np.full_like(params.conv_bias, 10.0),
+                            params.dense_weights, params.dense_bias)
+    real_dropout = nn.dropout
+    masks, states = {}, {}
+    for name, samples in (("whole", 10), ("chunked", 3)):
+        monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(samples, side))
+        calls = []
+        monkeypatch.setattr(nn, "dropout", _recording(real_dropout, calls))
+        draw = np.random.default_rng(77)
+        nn.batch_loss_and_grad(params, images, labels, cfg, draw)
+        masks[name] = [keep for _, keep in calls]
+        states[name] = draw.bit_generator.state
+
+    assert len(masks["whole"]) == 1 and len(masks["chunked"]) == 4
+    assert 0.7 < masks["whole"][0].mean() < 0.8
+    assert np.array_equal(np.concatenate(masks["chunked"]), masks["whole"][0])
+    assert states["chunked"] == states["whole"]
+
+
+def test_gradient_oracle_holds_with_chunks_on(monkeypatch):
+    # the setup, helpers and tolerance of acceptance criterion 1
+    side, batch_size = 12, 4
+    cfg = nn.TrainConfig(side=side, dropout_rate=0.25)
+    rng = np.random.default_rng(1011)
+    batch = rng.random((batch_size, 1, side, side))
+    labels = one_hot(rng.integers(0, 2, batch_size)).astype(np.float64)
+    params = nn.init_params(side, 11).astype(np.float64)
+    params = hinge_safe_bias(params, batch, margin=2e-3)
+    loss_at = make_loss_fn(params, batch, labels, cfg, mask_seed=2011)
+    numeric = numeric_gradients(loss_at, params, delta=1e-3)
+
+    for samples in (1, 3):
+        monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(samples, side))
+        _, analytic = nn.batch_loss_and_grad(params, batch, labels, cfg,
+                                             np.random.default_rng(2011))
+        worst = max_relative_error(analytic, numeric)
+        assert worst < 1e-3, f"{samples} per chunk: max relative error {worst:.2e}"
+
+
 def test_predict_simple_cases_and_tie_break():
     params = random_params(side=8, seed=0)
     zeros = nn.ModelParams(*(np.zeros_like(a) for a in params.named().values()))
@@ -333,6 +415,23 @@ def test_predict_memory_is_bounded_at_reference_side():
         tracemalloc.stop()
     assert labels.shape == (24,)
     assert peak < 128 * 2 ** 20, f"predict peaked at {peak / 2 ** 20:.0f} MiB"
+
+
+def test_fit_memory_is_bounded_at_reference_side():
+    # as one unchunked step, these 16 side-300 samples peak at 478 MiB;
+    # in chunks of 5 they peak at 212 MiB
+    train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
+                    np.arange(16, dtype=np.int64) % 2)
+    cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
+    params = nn.init_params(300, 0)
+    tracemalloc.start()
+    try:
+        fitted, _ = nn.fit(params, train, cfg, np.random.default_rng(0), score_train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(fitted.dense_weights).all()
+    assert peak < 256 * 2 ** 20, f"one fit epoch peaked at {peak / 2 ** 20:.0f} MiB"
 
 
 def test_parameter_counts_at_reference_side():
