@@ -40,7 +40,7 @@ def write_tensors(named: dict[str, np.ndarray]) -> bytes:
         chunks.append(encoded)
         chunks.append(_RANK.pack(arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        chunks.append(np.ascontiguousarray(arr, dtype="<f4"))  # join reads the buffer
     return b"".join(chunks)
 
 

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Manifest
 from .data import Dataset
 from .errors import (EmptyShard, EmptyUpdateSet, RoundMismatch, ShapeMismatch,
                      TooFewSamples)
@@ -125,17 +124,6 @@ def partition(dataset: Dataset, n_clients: int, seed: int,
                                labels=dataset.labels, label_skew=label_skew)
     return [ClientShard(f"client-{k}", dataset.subset(block))
             for k, block in enumerate(blocks)]
-
-
-def partition_manifest(manifest: Manifest, n_clients: int, seed: int) -> list[Manifest]:
-    """The same split as partition(), applied to manifest entries.
-
-    Loading shard manifest k at a given side yields exactly the dataset
-    rows partition() would hand client k.
-    """
-    blocks = partition_indices(len(manifest), n_clients, seed,
-                               labels=manifest.labels())
-    return [manifest.subset(block.tolist()) for block in blocks]
 
 
 def local_train(global_params: ModelParams, shard: ClientShard,

@@ -6,9 +6,10 @@ Frame layout, little-endian:
     type    u8    0x01 HELLO, 0x02 GLOBAL, 0x03 UPDATE, 0x04 FIN, 0x7F ERROR
     payload bytes
 
-HELLO carries "<I" n_samples then the client id, UTF-8. GLOBAL and UPDATE
-carry a weight blob: "<II" (round, n_samples) then a checkpoint in the
-"FRWM" format, byte for byte. ERROR carries a UTF-8 diagnostic; FIN is
+HELLO carries "<I" n_samples (at least 1) then the client id, UTF-8.
+GLOBAL and UPDATE carry a weight blob: "<II" (round, n_samples) then a
+checkpoint in the "FRWM" format, byte for byte; every UPDATE repeats the
+n_samples of its client's HELLO. ERROR carries a UTF-8 diagnostic; FIN is
 empty. Rounds are synchronous: the server aggregates only after all K
 updates for the round have arrived, so a loopback federation reproduces
 the in-process engine exactly.
@@ -53,11 +54,15 @@ class Frame:
     payload: bytes  # a bytearray when read from a socket
 
 
-def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise OversizeFrame(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+def _check_header(length: int, msg_type: int) -> None:
     if msg_type not in _KNOWN_TYPES:
         raise UnknownFrameType(f"message type 0x{msg_type:02x} is not in the protocol")
+    if length > MAX_PAYLOAD:
+        raise OversizeFrame(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
+
+
+def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
+    _check_header(len(payload), msg_type)
     return _HEADER.pack(len(payload), msg_type) + payload
 
 
@@ -66,10 +71,7 @@ def decode_frame(data: bytes) -> Frame:
     if len(data) < _HEADER.size:
         raise TruncatedFrame(f"{len(data)} bytes is shorter than a frame header")
     length, msg_type = _HEADER.unpack_from(data)
-    if msg_type not in _KNOWN_TYPES:
-        raise UnknownFrameType(f"message type 0x{msg_type:02x} is not in the protocol")
-    if length > MAX_PAYLOAD:
-        raise OversizeFrame(f"declared payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    _check_header(length, msg_type)
     if len(data) < _HEADER.size + length:
         raise TruncatedFrame(f"payload cut short: {len(data) - _HEADER.size} of {length} bytes")
     if len(data) > _HEADER.size + length:
@@ -85,7 +87,12 @@ def decode_hello(payload: bytes) -> tuple[str, int]:
     if len(payload) < _HELLO_HEAD.size:
         raise TruncatedFrame("hello payload shorter than its header")
     (n_samples,) = _HELLO_HEAD.unpack_from(payload)
-    return payload[_HELLO_HEAD.size :].decode("utf-8"), n_samples
+    if n_samples < 1:
+        raise ProtocolViolation("hello announces no samples")
+    try:
+        return payload[_HELLO_HEAD.size :].decode("utf-8"), n_samples
+    except UnicodeDecodeError as exc:
+        raise ProtocolViolation(f"client id is not UTF-8: {exc}") from None
 
 
 def encode_weight_blob(round_index: int, n_samples: int, params: ModelParams) -> bytes:
@@ -138,10 +145,7 @@ def read_frame(sock: socket.socket) -> Optional[Frame]:
     if header is None:
         return None
     length, msg_type = _HEADER.unpack(header)
-    if msg_type not in _KNOWN_TYPES:
-        raise UnknownFrameType(f"message type 0x{msg_type:02x} is not in the protocol")
-    if length > MAX_PAYLOAD:
-        raise OversizeFrame(f"declared payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    _check_header(length, msg_type)
     if not length:
         return Frame(msg_type, b"")
     payload = _recv_exact(sock, length)
@@ -162,30 +166,22 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
           accept_timeout: float = DEFAULT_IDLE_TIMEOUT,
           idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
           listener: Optional[socket.socket] = None,
-          ready: Optional[threading.Event] = None,
           ) -> tuple[ModelParams, list[EvalReport]]:
     """Run the aggregation side over TCP and return the final global model.
 
     Waits for exactly n_clients HELLOs, then per round broadcasts the
     global weights, gathers one UPDATE per client, and aggregates. Reports
     mirror run_federation when train_set/val_set are provided. Callers may
-    pass an already-listening *listener* (then bind is ignored); *ready* is
-    set once the socket accepts connections, handy when clients start in
-    parallel.
+    pass an already-listening *listener* (then bind is ignored); it is
+    closed once the clients have joined. On any failure every accepted
+    connection gets an ERROR frame before it is closed.
     """
-    if listener is None:
-        listener = socket.create_server(bind)
+    socks: list[socket.socket] = []
     try:
-        listener.settimeout(0.1)
-        if ready is not None:
-            ready.set()
-        peers = _await_clients(listener, fed_config.n_clients, accept_timeout, idle_timeout)
-    except BaseException:
-        listener.close()
-        raise
-    listener.close()
-
-    try:
+        with listener if listener is not None else socket.create_server(bind) as listening:
+            listening.settimeout(0.1)
+            peers = _await_clients(listening, socks, fed_config.n_clients,
+                                   accept_timeout, idle_timeout)
         peers.sort(key=lambda p: p.client_id)
         global_params = init_params(train_config.side, train_config.seed)
         reports: list[EvalReport] = []
@@ -193,96 +189,95 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
             blob = encode_weight_blob(round_index, 0, global_params)
             for peer in peers:
                 send_frame(peer.sock, MSG_GLOBAL, blob)
-            updates = _gather_updates(peers, round_index)
-            global_params = aggregate(updates)
+            slots: list = [None] * len(peers)
+            threads = [threading.Thread(target=_read_update_into,
+                                        args=(slots, k, peer, round_index))
+                       for k, peer in enumerate(peers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for slot in slots:
+                if isinstance(slot, Exception):
+                    raise slot
+            global_params = aggregate(slots)
             if train_set is not None:
                 reports.append(round_report(global_params, round_index, train_set, val_set))
         for peer in peers:
             send_frame(peer.sock, MSG_FIN)
         return global_params, reports
     except BaseException:
-        _abort(peers)
+        for sock in socks:
+            try:
+                send_frame(sock, MSG_ERROR, b"federation aborted")
+            except OSError:
+                pass
         raise
     finally:
-        for peer in peers:
-            peer.sock.close()
+        for sock in socks:
+            sock.close()
 
 
-def _await_clients(listener: socket.socket, n_clients: int,
+def _await_clients(listener: socket.socket, socks: list[socket.socket], n_clients: int,
                    accept_timeout: float, idle_timeout: float) -> list[_Peer]:
+    """Accept until n_clients valid, distinct HELLOs arrived, each connection
+    appended to *socks* as soon as it is accepted. A HELLO must arrive before
+    the accept deadline; later reads wait up to *idle_timeout*."""
     deadline = time.monotonic() + accept_timeout
     peers: list[_Peer] = []
-    try:
-        while len(peers) < n_clients:
-            if time.monotonic() > deadline:
-                raise ClientCountTimeout(
-                    f"{len(peers)} of {n_clients} clients joined within {accept_timeout}s")
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            conn.settimeout(idle_timeout)
+    while len(peers) < n_clients:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise ClientCountTimeout(
+                f"{len(peers)} of {n_clients} clients joined within {accept_timeout}s")
+        try:
+            conn, _ = listener.accept()
+        except socket.timeout:
+            continue
+        socks.append(conn)
+        conn.settimeout(left)
+        try:
             frame = read_frame(conn)
-            if frame is None or frame.msg_type != MSG_HELLO:
-                conn.close()
-                raise ProtocolViolation("expected HELLO as the first message")
-            client_id, n_samples = decode_hello(frame.payload)
-            if client_id in {p.client_id for p in peers}:
-                conn.close()
-                raise ProtocolViolation(f"duplicate client id {client_id!r}")
-            peers.append(_Peer(conn, client_id, n_samples))
-        return peers
-    except BaseException:
-        _abort(peers)
-        for peer in peers:
-            peer.sock.close()
-        raise
+        except socket.timeout:
+            continue  # no HELLO by the deadline: the loop raises ClientCountTimeout
+        if frame is None or frame.msg_type != MSG_HELLO:
+            raise ProtocolViolation("expected HELLO as the first message")
+        client_id, n_samples = decode_hello(frame.payload)
+        if client_id in {p.client_id for p in peers}:
+            raise ProtocolViolation(f"duplicate client id {client_id!r}")
+        conn.settimeout(idle_timeout)
+        peers.append(_Peer(conn, client_id, n_samples))
+    return peers
 
 
-def _gather_updates(peers: list[_Peer], round_index: int) -> list[ClientUpdate]:
-    updates: dict[str, ClientUpdate] = {}
-    problems: list[Exception] = []
-    lock = threading.Lock()
-
-    def collect(peer: _Peer) -> None:
-        try:
-            frame = read_frame(peer.sock)
-            if frame is None:
-                raise ProtocolViolation(
-                    f"client {peer.client_id} disconnected during round {round_index}")
-            if frame.msg_type != MSG_UPDATE:
-                raise ProtocolViolation(
-                    f"client {peer.client_id} sent type 0x{frame.msg_type:02x}, "
-                    f"expected UPDATE")
-            got_round, n_samples, params = decode_weight_blob(frame.payload)
-            if got_round != round_index:
-                raise ProtocolViolation(
-                    f"client {peer.client_id} answered round {got_round} "
-                    f"during round {round_index}")
-            update = ClientUpdate(peer.client_id, got_round, params, n_samples)
-            with lock:
-                updates[peer.client_id] = update
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            with lock:
-                problems.append(exc)
-
-    threads = [threading.Thread(target=collect, args=(peer,)) for peer in peers]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if problems:
-        raise problems[0] if isinstance(problems[0], ProtocolViolation) \
-            else ProtocolViolation(f"round {round_index} failed: {problems[0]}")
-    return [updates[p.client_id] for p in peers]
+def _read_update(peer: _Peer, round_index: int) -> ClientUpdate:
+    """The peer's UPDATE for the round; every failure is a ProtocolViolation
+    that names the peer."""
+    who = f"client {peer.client_id}"
+    try:
+        frame = read_frame(peer.sock)
+        if frame is None:
+            raise ProtocolViolation(f"{who} disconnected during round {round_index}")
+        if frame.msg_type != MSG_UPDATE:
+            raise ProtocolViolation(
+                f"{who} sent type 0x{frame.msg_type:02x}, expected UPDATE")
+        got_round, n_samples, params = decode_weight_blob(frame.payload)
+    except (OSError, ValueError) as exc:  # timeouts, resets, bad frames and blobs
+        raise ProtocolViolation(f"{who} failed during round {round_index}: {exc}") from exc
+    if got_round != round_index:
+        raise ProtocolViolation(f"{who} answered round {got_round} during round {round_index}")
+    if n_samples != peer.n_samples:
+        raise ProtocolViolation(
+            f"{who} sent an update of {n_samples} samples after a hello of {peer.n_samples}")
+    return ClientUpdate(peer.client_id, got_round, params, n_samples)
 
 
-def _abort(peers: list[_Peer]) -> None:
-    for peer in peers:
-        try:
-            send_frame(peer.sock, MSG_ERROR, b"federation aborted")
-        except OSError:
-            pass
+def _read_update_into(slots: list, k: int, peer: _Peer, round_index: int) -> None:
+    """Thread body: slot k gets the peer's update or the exception it raised."""
+    try:
+        slots[k] = _read_update(peer, round_index)
+    except Exception as exc:  # noqa: BLE001 - serve raises it, in peer order
+        slots[k] = exc
 
 
 def client_join(address: tuple[str, int], shard: ClientShard,

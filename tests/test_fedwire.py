@@ -286,3 +286,110 @@ def test_client_join_reports_server_error():
     with pytest.raises(ProtocolViolation):
         client_join(address, shard, nn.TrainConfig(side=8))
     thread.join(timeout=10)
+
+
+def _start_server(fed, cfg, **kwargs):
+    listener = _free_listener()
+    address = listener.getsockname()
+    holder = {}
+    server = threading.Thread(target=_run_server, args=(listener, fed, cfg, holder),
+                              kwargs=kwargs)
+    server.start()
+    return address, holder, server
+
+
+def _connect(address, hello_payload):
+    sock = socket.create_connection(address, timeout=10)
+    sock.settimeout(10)
+    fedwire.send_frame(sock, MSG_HELLO, hello_payload)
+    return sock
+
+
+@pytest.mark.parametrize("bad_hello", [
+    (6).to_bytes(4, "little") + b"\xff\xfeclient-1",  # id is not UTF-8
+    encode_hello("client-1", 0),
+], ids=["non-utf8-id", "zero-samples"])
+def test_bad_hello_gets_error_and_aborts(bad_hello):
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, seed=0)
+    cfg = nn.TrainConfig(side=8, seed=0)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0)
+    good = _connect(address, encode_hello("client-0", 6))
+    bad = _connect(address, bad_hello)
+    try:
+        # the rejected connection and the peer that had joined both get ERROR
+        for sock in (bad, good):
+            reply = read_frame(sock)
+            assert reply is not None and reply.msg_type == MSG_ERROR
+    finally:
+        bad.close()
+        good.close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    assert isinstance(holder.get("error"), ProtocolViolation)
+
+
+@pytest.mark.parametrize("claimed", [0, 5])
+def test_update_count_other_than_hello_gets_error_and_aborts(claimed):
+    ds = tiny_dataset(n=6, side=8, seed=11)
+    fed = FedConfig(n_clients=1, n_rounds=1, local_epochs=1, batch_size=4, seed=1)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=1)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0)
+    sock = _connect(address, encode_hello("client-0", len(ds)))
+    try:
+        frame = read_frame(sock)
+        assert frame.msg_type == MSG_GLOBAL
+        _, _, params = decode_weight_blob(frame.payload)
+        fedwire.send_frame(sock, MSG_UPDATE, encode_weight_blob(0, claimed, params))
+        reply = read_frame(sock)
+        assert reply is not None and reply.msg_type == MSG_ERROR
+    finally:
+        sock.close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation)
+    assert "client-0" in str(error)
+
+
+def test_silent_connection_times_out_at_the_accept_deadline():
+    fed = FedConfig(n_clients=1, n_rounds=1, local_epochs=1, seed=0)
+    cfg = nn.TrainConfig(side=8, seed=0)
+    t0 = time.monotonic()
+    address, holder, server = _start_server(fed, cfg, accept_timeout=0.5,
+                                            idle_timeout=30.0)
+    sock = socket.create_connection(address, timeout=10)
+    sock.settimeout(10)
+    try:
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert time.monotonic() - t0 < 5.0
+        assert isinstance(holder.get("error"), ClientCountTimeout)
+        reply = read_frame(sock)
+        assert reply is not None and reply.msg_type == MSG_ERROR
+    finally:
+        sock.close()
+
+
+def test_one_client_vanishing_mid_round_aborts_the_other():
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, batch_size=4, seed=1)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=1)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0)
+    gone = _connect(address, encode_hello("client-0", 3))
+    survivor = _connect(address, encode_hello("client-1", 3))
+    try:
+        assert read_frame(gone).msg_type == MSG_GLOBAL
+        frame = read_frame(survivor)
+        assert frame.msg_type == MSG_GLOBAL
+        _, _, params = decode_weight_blob(frame.payload)
+        gone.close()
+        fedwire.send_frame(survivor, MSG_UPDATE, encode_weight_blob(0, 3, params))
+        reply = read_frame(survivor)
+        assert reply is not None and reply.msg_type == MSG_ERROR
+    finally:
+        gone.close()
+        survivor.close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation)
+    assert "client-0" in str(error)
