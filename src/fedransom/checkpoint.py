@@ -32,8 +32,9 @@ _NAME_LEN = struct.Struct("<H")
 _RANK = struct.Struct("<B")
 
 
-def write_tensors(named: dict[str, np.ndarray]) -> bytes:
-    chunks = [MAGIC, _HEAD.pack(VERSION, len(named))]
+def write_tensors(named: dict[str, np.ndarray], prefix: bytes = b"") -> bytes:
+    """*prefix*, then the checkpoint of *named*, made in one join."""
+    chunks = [prefix, MAGIC, _HEAD.pack(VERSION, len(named))]
     for name, arr in named.items():
         encoded = name.encode("utf-8")
         chunks.append(_NAME_LEN.pack(len(encoded)))

@@ -9,10 +9,11 @@ Frame layout, little-endian:
 HELLO carries "<I" n_samples (at least 1) then the client id, UTF-8.
 GLOBAL and UPDATE carry a weight blob: "<II" (round, n_samples) then a
 checkpoint in the "FRWM" format, byte for byte; every UPDATE repeats the
-n_samples of its client's HELLO. ERROR carries a UTF-8 diagnostic; FIN is
-empty. Rounds are synchronous: the server aggregates only after all K
-updates for the round have arrived, so a loopback federation reproduces
-the in-process engine exactly.
+n_samples of its client's HELLO. ERROR carries the cause of an abort as
+UTF-8 text of at most MAX_ERROR_BYTES; FIN is empty. Rounds are
+synchronous: the server aggregates only after all K updates for the round
+have arrived, so a loopback federation reproduces the in-process engine
+exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .checkpoint import params_from_bytes, params_to_bytes
+from .checkpoint import params_from_bytes, write_tensors
 from .data import Dataset
 from .errors import (ClientCountTimeout, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
@@ -46,6 +47,8 @@ MAX_PAYLOAD = 2 ** 31
 _RECV_START = 1 << 20
 
 DEFAULT_IDLE_TIMEOUT = 300.0
+MAX_ERROR_BYTES = 1024
+_CONNECT_RETRY_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def decode_hello(payload: bytes) -> tuple[str, int]:
 
 
 def encode_weight_blob(round_index: int, n_samples: int, params: ModelParams) -> bytes:
-    return _BLOB_HEAD.pack(round_index, n_samples) + params_to_bytes(params)
+    return write_tensors(params.named(), _BLOB_HEAD.pack(round_index, n_samples))
 
 
 def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:
@@ -107,9 +110,18 @@ def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None:
-    # one sendall: a header sent apart from its payload can stall on Nagle
+    """Send one frame without copying *payload*."""
+    _check_header(len(payload), msg_type)
+    header = _HEADER.pack(len(payload), msg_type)
+    # one sendmsg: a header sent apart from its payload can stall on Nagle
     # and delayed ACK
-    sock.sendall(encode_frame(msg_type, payload))
+    sent = sock.sendmsg([header, payload])
+    if sent < len(header):
+        sock.sendall(header[sent:])
+        sent = len(header)
+    if sent < len(header) + len(payload):
+        with memoryview(payload) as view:
+            sock.sendall(view[sent - len(header) :])
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
@@ -206,10 +218,11 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
         for peer in peers:
             send_frame(peer.sock, MSG_FIN)
         return global_params, reports
-    except BaseException:
+    except BaseException as exc:
+        reason = f"{type(exc).__name__}: {exc}".encode("utf-8")[:MAX_ERROR_BYTES]
         for sock in socks:
             try:
-                send_frame(sock, MSG_ERROR, b"federation aborted")
+                send_frame(sock, MSG_ERROR, reason)
             except OSError:
                 pass
         raise
@@ -280,15 +293,30 @@ def _read_update_into(slots: list, k: int, peer: _Peer, round_index: int) -> Non
         slots[k] = exc
 
 
+def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
+    """A connection to *address*, retrying refusals until *timeout* has passed."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return socket.create_connection(address, timeout=timeout)
+        except ConnectionRefusedError:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise
+            time.sleep(min(_CONNECT_RETRY_S, left))
+
+
 def client_join(address: tuple[str, int], shard: ClientShard,
                 config: TrainConfig, connect_timeout: float = 10.0,
                 idle_timeout: float = DEFAULT_IDLE_TIMEOUT) -> int:
     """Join a federation: HELLO, then train on each GLOBAL until FIN.
 
-    Returns 0 on a clean FIN. Connection refusal propagates; any protocol
-    surprise raises ProtocolViolation.
+    Returns 0 on a clean FIN. A refused connection is retried until
+    *connect_timeout*, so a client may start before its server listens; the
+    last refusal then propagates. Any protocol surprise raises
+    ProtocolViolation.
     """
-    sock = socket.create_connection(address, timeout=connect_timeout)
+    sock = _connect(address, connect_timeout)
     sock.settimeout(idle_timeout)
     try:
         send_frame(sock, MSG_HELLO, encode_hello(shard.client_id, len(shard)))

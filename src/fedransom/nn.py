@@ -164,18 +164,26 @@ def conv2d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
 
 def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
             training: bool, gate: Optional[np.ndarray] = None,
-            ) -> tuple[np.ndarray, np.ndarray]:
+            out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: returns (x * keep / (1 - rate), keep), keep a boolean
-    mask. A given *gate*, such as ReLU's x > 0, is ANDed into keep in place.
-    Without a gate, in eval mode or at rate 0, the output equals the input."""
+    mask. A given *gate*, such as ReLU's x > 0, is ANDed into keep in place;
+    pass out=x to scale and mask in place. Without a gate, in eval mode or
+    at rate 0, the output equals the input.
+
+    Each unit costs 16 random bits: it is kept when its draw is at least
+    round(rate * 2**16), so it drops with probability round(rate * 2**16) / 2**16
+    (exact for 0.25, within 2**-17 of *rate* otherwise). Draws are taken in
+    whole 64-bit words, so arrays of a multiple of 4 units drawn in turn give
+    the bits of one draw over all of them."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"dropout rate must lie in [0, 1), got {rate}")
     keep = np.ones(x.shape, dtype=bool) if gate is None else gate
     if training and rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs a generator")
-        keep &= rng.random(x.shape, dtype=np.float32) >= rate
-    out = x * _survivor_scale(x.dtype, rate, training)
+        bits = rng.bit_generator.random_raw(math.ceil(x.size / 4)).view("<u2")[: x.size]
+        keep &= bits.reshape(x.shape) >= round(rate * 2 ** 16)
+    out = np.multiply(x, _survivor_scale(x.dtype, rate, training), out=out)
     out *= keep
     return out, keep
 
@@ -191,7 +199,8 @@ class ForwardTrace:
     batch: np.ndarray        # (n, 1, side, side)
     gate: np.ndarray         # bool, conv pre-activation > 0 and kept by dropout
     scale: np.floating       # dropout survivor scale, 1 outside training
-    flat: np.ndarray         # post-dropout activations, flattened per sample
+    flat: np.ndarray         # post-dropout activations, flattened per sample;
+                             # loss_and_grad overwrites them with their gradient
     logits: np.ndarray       # (n, 2)
     probs: np.ndarray        # (n, 2), rows sum to 1
 
@@ -211,11 +220,12 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
             rng: Optional[np.random.Generator] = None,
             training: bool = False) -> ForwardTrace:
     """Run the full stack: conv, ReLU, dropout, flatten, dense, softmax.
-    ReLU and dropout share one boolean gate."""
-    conv_pre = _conv_layer(params, batch)
-    dropped, gate = dropout(conv_pre, config.dropout_rate, rng, training, conv_pre > 0)
-    scale = _survivor_scale(conv_pre.dtype, config.dropout_rate, training)
-    flat = dropped.reshape(batch.shape[0], -1)
+    ReLU and dropout share one boolean gate and work in the conv output's
+    buffer, which the trace keeps as its flat activations."""
+    act = _conv_layer(params, batch)
+    _, gate = dropout(act, config.dropout_rate, rng, training, act > 0, out=act)
+    scale = _survivor_scale(act.dtype, config.dropout_rate, training)
+    flat = act.reshape(batch.shape[0], -1)
     logits = flat @ params.dense_weights.T + params.dense_bias
     return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits))
 
@@ -231,6 +241,9 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     logits via log-sum-exp so confident mistakes stay finite. Gradients
     flow through the dense layer, the stored ReLU-and-dropout gate, and
     the convolution; the returned object has parameter shapes.
+
+    This consumes the trace: the activation gradient is written over
+    trace.flat, so the activations are gone once this returns.
     """
     n = trace.batch.shape[0]
     if labels.shape != trace.probs.shape:
@@ -245,7 +258,8 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     d_dense_w = d_logits.T @ trace.flat
     d_dense_b = d_logits.sum(axis=0)
 
-    d_pre = (d_logits * trace.scale) @ params.dense_weights
+    # the activations are spent: their buffer takes the activation gradient
+    d_pre = np.matmul(d_logits * trace.scale, params.dense_weights, out=trace.flat)
     d_pre *= trace.gate.reshape(n, -1)
     d_pre = d_pre.reshape(n, N_FILTERS, -1)
     d_conv_b = d_pre.sum(axis=(0, 2))

@@ -83,6 +83,68 @@ def test_weight_blob_round_trip():
     assert params_equal(params, again)
 
 
+def _receive(sock, size):
+    """A thread that reads *size* bytes from *sock* into a buffer made up front."""
+    buf = bytearray(size)
+
+    def run():
+        got = 0
+        with memoryview(buf) as view:
+            while got < size:
+                read = sock.recv_into(view[got:])
+                if not read:
+                    return
+                got += read
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return buf, thread
+
+
+@pytest.mark.parametrize("payload", [b"", b"ab", bytearray(b"xyz"),
+                                     bytes(range(256)) * 20_000],
+                         ids=["empty", "bytes", "bytearray", "5MB"])
+def test_send_frame_sends_the_bytes_of_encode_frame(payload):
+    reader, writer = socket.socketpair()
+    try:
+        reader.settimeout(10.0)
+        writer.settimeout(10.0)
+        want = encode_frame(MSG_ERROR, bytes(payload))
+        buf, thread = _receive(reader, len(want))
+        fedwire.send_frame(writer, MSG_ERROR, payload)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert buf == want
+    finally:
+        reader.close()
+        writer.close()
+
+
+def test_sending_a_reference_side_update_copies_its_weights_once():
+    params = nn.init_params(300, 0)
+    want = encode_frame(MSG_UPDATE, encode_weight_blob(3, 1, params))
+    reader, writer = socket.socketpair()
+    try:
+        reader.settimeout(10.0)
+        writer.settimeout(10.0)
+        buf, thread = _receive(reader, len(want))
+        tracemalloc.start()
+        try:
+            fedwire.send_frame(writer, MSG_UPDATE, encode_weight_blob(3, 1, params))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert buf == want
+    finally:
+        reader.close()
+        writer.close()
+    # the payload itself is the one copy; each extra concatenation adds another
+    payload = len(want) - 5
+    assert peak <= 1.5 * payload, f"peak {peak / payload:.2f}x the {payload}-byte payload"
+
+
 def test_read_frame_rejects_unknown_type_before_the_payload():
     reader, writer = socket.socketpair()
     try:
@@ -393,3 +455,52 @@ def test_one_client_vanishing_mid_round_aborts_the_other():
     error = holder.get("error")
     assert isinstance(error, ProtocolViolation)
     assert "client-0" in str(error)
+
+
+def test_client_join_retries_until_the_server_listens():
+    probe = socket.create_server(("127.0.0.1", 0))
+    address = probe.getsockname()
+    probe.close()
+    hellos = []
+
+    def late_server():
+        time.sleep(0.3)
+        with socket.create_server(address) as listener:
+            listener.settimeout(10)
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                hellos.append(read_frame(conn))
+                fedwire.send_frame(conn, MSG_FIN)
+
+    thread = threading.Thread(target=late_server)
+    thread.start()
+    shard = partition(tiny_dataset(n=4, side=8, seed=0), 1, seed=0)[0]
+    try:
+        assert client_join(address, shard, nn.TrainConfig(side=8), connect_timeout=10.0) == 0
+    finally:
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert hellos[0].msg_type == MSG_HELLO
+
+
+@pytest.mark.parametrize("client_id", ["client-0", "c" * 2000], ids=["short", "long"])
+def test_error_frame_names_the_cause(client_id):
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, seed=0)
+    cfg = nn.TrainConfig(side=8, seed=0)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0)
+    survivor = _connect(address, encode_hello(client_id, 6))
+    twin = _connect(address, encode_hello(client_id, 6))
+    try:
+        reply = read_frame(survivor)
+        assert reply is not None and reply.msg_type == MSG_ERROR
+    finally:
+        survivor.close()
+        twin.close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    assert isinstance(holder.get("error"), ProtocolViolation)
+    text = bytes(reply.payload).decode("utf-8")
+    assert text.startswith("ProtocolViolation: duplicate client id ")
+    assert client_id[:100] in text
+    assert len(reply.payload) <= 1024

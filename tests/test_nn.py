@@ -439,3 +439,32 @@ def test_parameter_counts_at_reference_side():
     assert params.conv_kernels.size + params.conv_bias.size == 320
     assert params.dense_weights.shape == (2, 2_880_000)
     assert params.count() == 320 + 5_760_002
+
+def test_dropout_drops_the_16_bit_quantized_rate():
+    # a unit drops when its 16-bit draw is below round(0.1 * 2**16) = 6554
+    x = np.ones(1_000_000, dtype=np.float32)
+    _, keep = nn.dropout(x, 0.1, np.random.default_rng(13), training=True)
+    p = 6554 / 2 ** 16
+    sigma = math.sqrt(p * (1 - p) / x.size)
+    assert abs((~keep).mean() - p) <= 4 * sigma
+
+
+def test_training_step_memory_at_desk_scale():
+    # one desk mini-batch (16 samples at side 64) has an 8 MiB conv output;
+    # a step that keeps separate dropout, activation and gradient arrays
+    # peaks near 21.5 MiB
+    side, n = 64, 16
+    rng = np.random.default_rng(14)
+    images = rng.random((n, 1, side, side), dtype=np.float32)
+    labels = one_hot(rng.integers(0, 2, n))
+    cfg = nn.TrainConfig(side=side, batch_size=n)
+    params = nn.init_params(side, 0)
+    conv_bytes = n * nn.N_FILTERS * side * side * 4
+    tracemalloc.start()
+    try:
+        loss, grads = nn.batch_loss_and_grad(params, images, labels, cfg, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(loss) and np.isfinite(grads.dense_weights).all()
+    assert peak <= 2.25 * conv_bytes, f"one step peaked at {peak / 2 ** 20:.1f} MiB"
