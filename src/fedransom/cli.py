@@ -48,7 +48,6 @@ _BUILTIN = {
     "clients": 3,
     "rounds": 30,
     "local_epochs": 30,
-    "label_skew": 0.0,
     "threshold": 0.5,
     "accept_timeout": fedwire.DEFAULT_IDLE_TIMEOUT,
     "idle_timeout": fedwire.DEFAULT_IDLE_TIMEOUT,
@@ -58,7 +57,7 @@ _SECTION = {
     "n_per_class": "synth", "min_size": "synth", "max_size": "synth",
     "side": "train", "epochs": "train", "batch": "train", "lr": "train",
     "dropout": "train", "threshold": "train",
-    "clients": "fed", "rounds": "fed", "local_epochs": "fed", "label_skew": "fed",
+    "clients": "fed", "rounds": "fed", "local_epochs": "fed",
     "accept_timeout": "fed", "idle_timeout": "fed",
 }
 
@@ -128,7 +127,6 @@ class _Settings:
                 batch_size=self.get("batch"),
                 learning_rate=self.get("lr", float),
                 seed=self.seed,
-                label_skew=self.get("label_skew", float),
             )
         except ValueError as exc:
             self.parser.error(str(exc))
@@ -269,8 +267,8 @@ def cmd_predict(args, parser) -> int:
     params = checkpoint.load_params(args.checkpoint)
     threshold = _Settings(args, parser).get("threshold", float)
     for name in args.files:
-        blob = Path(name).read_bytes()
-        image = bytes_to_image(blob, params.side)
+        with open(name, "rb") as fh:  # the image uses only the first side*side bytes
+            image = bytes_to_image(fh.read(params.side * params.side), params.side)
         labels, probs = nn.predict(params, image.pixels[None, None], threshold)
         label = int(labels[0])
         print(f"{name}\t{metrics.CLASS_NAMES[label]}\t{probs[0, 1]:.6f}")

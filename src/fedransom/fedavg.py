@@ -35,15 +35,12 @@ class FedConfig:
     batch_size: int = 64
     learning_rate: float = 0.006
     seed: int = 0
-    label_skew: float = 0.0  # 0 = IID; >0 biases shard class mix
 
     def __post_init__(self) -> None:
         if self.n_clients < 1 or self.n_rounds < 1 or self.local_epochs < 1:
             raise ValueError("n_clients, n_rounds, and local_epochs must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if not 0.0 <= self.label_skew <= 1.0:
-            raise ValueError("label_skew must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,26 +84,16 @@ def client_stream_seed(seed: int, client_index: int, round_index: int) -> int:
     return (seed ^ mix) & _MASK64
 
 
-def partition_indices(n: int, n_clients: int, seed: int, labels=None,
-                      label_skew: float = 0.0) -> list[np.ndarray]:
+def partition_indices(n: int, n_clients: int, seed: int) -> list[np.ndarray]:
     """Shuffle 0..n-1, cut into near-equal contiguous blocks, sort each block.
 
     Sorting each shard back into dataset order makes membership the only
-    thing the shuffle decides. With label_skew > 0 a matching fraction of
-    the shuffled indices is stably label-sorted first, which skews the
-    class mix per shard while keeping sizes, disjointness, and coverage.
+    thing the shuffle decides.
     """
     if n < n_clients:
         raise TooFewSamples(f"{n} samples cannot cover {n_clients} clients")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    if label_skew > 0.0:
-        if labels is None:
-            raise ValueError("label_skew needs labels")
-        m = int(round(label_skew * n))
-        head = perm[:m]
-        head = head[np.argsort(np.asarray(labels)[head], kind="stable")]
-        perm = np.concatenate([head, perm[m:]])
     base, extra = divmod(n, n_clients)
     blocks = []
     start = 0
@@ -117,11 +104,9 @@ def partition_indices(n: int, n_clients: int, seed: int, labels=None,
     return blocks
 
 
-def partition(dataset: Dataset, n_clients: int, seed: int,
-              label_skew: float = 0.0) -> list[ClientShard]:
+def partition(dataset: Dataset, n_clients: int, seed: int) -> list[ClientShard]:
     """IID shuffle and near-equal split of the dataset across clients."""
-    blocks = partition_indices(len(dataset), n_clients, seed,
-                               labels=dataset.labels, label_skew=label_skew)
+    blocks = partition_indices(len(dataset), n_clients, seed)
     return [ClientShard(f"client-{k}", dataset.subset(block))
             for k, block in enumerate(blocks)]
 
@@ -190,8 +175,7 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     local_cfg = replace(train_config, epochs=fed_config.local_epochs,
                         batch_size=fed_config.batch_size,
                         learning_rate=fed_config.learning_rate)
-    shards = partition(dataset, fed_config.n_clients, fed_config.seed,
-                       fed_config.label_skew)
+    shards = partition(dataset, fed_config.n_clients, fed_config.seed)
     global_params = init_params(train_config.side, train_config.seed)
     reports: list[EvalReport] = []
     for round_index in range(fed_config.n_rounds):
@@ -204,11 +188,13 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
 
 def round_report(params: ModelParams, round_index: int, train_set: Dataset,
                  val_set: Optional[Dataset]) -> EvalReport:
-    train_acc = accuracy(params, train_set)
+    """Report on val_set when it has samples, else on train_set, whose one
+    predict pass then also gives the train accuracy."""
     if val_set is not None and len(val_set):
+        train_acc = accuracy(params, train_set)
         report = evaluate_model(params, val_set)
         val_acc = report.accuracy
     else:
         report = evaluate_model(params, train_set)
-        val_acc = None
+        train_acc, val_acc = report.accuracy, None
     return with_history(report, [history_row(round_index, train_acc, val_acc)])

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,24 +197,19 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
         peers.sort(key=lambda p: p.client_id)
         global_params = init_params(train_config.side, train_config.seed)
         reports: list[EvalReport] = []
-        for round_index in range(fed_config.n_rounds):
-            blob = encode_weight_blob(round_index, 0, global_params)
-            for peer in peers:
-                send_frame(peer.sock, MSG_GLOBAL, blob)
-            slots: list = [None] * len(peers)
-            threads = [threading.Thread(target=_read_update_into,
-                                        args=(slots, k, peer, round_index))
-                       for k, peer in enumerate(peers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            for slot in slots:
-                if isinstance(slot, Exception):
-                    raise slot
-            global_params = aggregate(slots)
-            if train_set is not None:
-                reports.append(round_report(global_params, round_index, train_set, val_set))
+        # One reader per peer. The first failure in peer order propagates once
+        # the with block has waited for every read of the round, so no ERROR
+        # frame goes out while a peer's UPDATE is still being read. Unlike
+        # Executor.map, result() cancels no read that has yet to start.
+        with ThreadPoolExecutor(len(peers)) as pool:
+            for round_index in range(fed_config.n_rounds):
+                blob = encode_weight_blob(round_index, 0, global_params)
+                for peer in peers:
+                    send_frame(peer.sock, MSG_GLOBAL, blob)
+                reads = [pool.submit(_read_update, peer, round_index) for peer in peers]
+                global_params = aggregate([read.result() for read in reads])
+                if train_set is not None:
+                    reports.append(round_report(global_params, round_index, train_set, val_set))
         for peer in peers:
             send_frame(peer.sock, MSG_FIN)
         return global_params, reports
@@ -283,14 +278,6 @@ def _read_update(peer: _Peer, round_index: int) -> ClientUpdate:
         raise ProtocolViolation(
             f"{who} sent an update of {n_samples} samples after a hello of {peer.n_samples}")
     return ClientUpdate(peer.client_id, got_round, params, n_samples)
-
-
-def _read_update_into(slots: list, k: int, peer: _Peer, round_index: int) -> None:
-    """Thread body: slot k gets the peer's update or the exception it raised."""
-    try:
-        slots[k] = _read_update(peer, round_index)
-    except Exception as exc:  # noqa: BLE001 - serve raises it, in peer order
-        slots[k] = exc
 
 
 def _connect(address: tuple[str, int], timeout: float) -> socket.socket:

@@ -2,6 +2,7 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 from helpers import params_equal
@@ -169,6 +170,30 @@ def test_predict_missing_file_exits_one(small_corpus, tmp_path, capsys):
             "--checkpoint-out", str(ckpt))
     assert run_cli("predict", "--checkpoint", str(ckpt), "/no/such/file.bin") == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_predict_reads_only_the_imaged_prefix(tmp_path, capsys):
+    side = 64
+    ckpt = tmp_path / "ck.frwm"
+    checkpoint.save_params(nn.init_params(side, 3), ckpt)
+    prefix = bytes(range(256)) * (side * side // 256)
+    big, cut = tmp_path / "big.bin", tmp_path / "cut.bin"
+    with big.open("wb") as fh:  # 64 MiB, sparse past the imaged prefix
+        fh.write(prefix)
+        fh.truncate(64 << 20)
+    cut.write_bytes(prefix)
+
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run_cli("predict", "--checkpoint", str(ckpt), str(big)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run_cli("predict", "--checkpoint", str(ckpt), str(cut)) == 0
+    big_line, cut_line = capsys.readouterr().out.strip().splitlines()
+    assert big_line.split("\t")[1:] == cut_line.split("\t")[1:]
+    assert peak <= 16 << 20
 
 
 def test_client_connect_refused_exits_one(small_corpus, capsys):

@@ -55,17 +55,6 @@ def test_partition_shards_carry_dataset_rows():
     assert sorted(merged_labels.tolist()) == sorted(ds.labels.tolist())
 
 
-def test_label_skew_hook_biases_shard_composition():
-    labels = np.repeat([0, 1], 50)
-    blocks = partition_indices(100, 2, seed=1, labels=labels, label_skew=1.0)
-    first = labels[blocks[0]]
-    second = labels[blocks[1]]
-    assert (first == 0).mean() > 0.9
-    assert (second == 1).mean() > 0.9
-    # sizes still near-equal
-    assert abs(len(blocks[0]) - len(blocks[1])) <= 1
-
-
 def test_single_client_partition_preserves_dataset_order():
     ds = tiny_dataset(n=9, side=8, seed=2)
     (shard,) = partition(ds, 1, seed=123)
@@ -230,3 +219,24 @@ def test_federation_history_carries_round_rows():
     _, reports = run_federation(ds, fed, train_cfg, val)
     assert [r.history[0].index for r in reports] == [0, 1]
     assert all(r.history[0].val_accuracy is not None for r in reports)
+
+
+def test_round_report_without_val_set_predicts_the_training_set_once(monkeypatch):
+    ds = tiny_dataset(n=12, side=8, seed=8)
+    fed = FedConfig(n_clients=2, n_rounds=2, local_epochs=1, batch_size=4, seed=3)
+    train_cfg = nn.TrainConfig(side=8, seed=3)
+    calls = []
+    real_predict = nn.predict
+
+    def counted(params, images, *args, **kwargs):
+        calls.append(len(images))
+        return real_predict(params, images, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "predict", counted)
+    monkeypatch.setattr(fedavg, "predict", counted)
+    _, reports = run_federation(ds, fed, train_cfg)
+    assert calls == [12, 12]
+    for r in reports:
+        (row,) = r.history
+        assert row.train_accuracy == r.accuracy
+        assert row.val_accuracy is None

@@ -1,3 +1,4 @@
+import select
 import socket
 import threading
 import time
@@ -455,6 +456,35 @@ def test_one_client_vanishing_mid_round_aborts_the_other():
     error = holder.get("error")
     assert isinstance(error, ProtocolViolation)
     assert "client-0" in str(error)
+
+
+def test_abort_waits_for_every_read_and_raises_the_first_in_peer_order():
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, batch_size=4, seed=1)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=1)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0)
+    slow = _connect(address, encode_hello("client-0", 3))
+    gone = _connect(address, encode_hello("client-1", 3))
+    try:
+        frame = read_frame(slow)
+        assert frame.msg_type == MSG_GLOBAL
+        assert read_frame(gone).msg_type == MSG_GLOBAL
+        gone.close()
+        time.sleep(0.5)
+        # client-1's failure is known, but client-0's read has not ended
+        assert server.is_alive()
+        assert select.select([slow], [], [], 0)[0] == []
+        _, _, params = decode_weight_blob(frame.payload)
+        fedwire.send_frame(slow, MSG_UPDATE, encode_weight_blob(7, 3, params))
+        reply = read_frame(slow)
+        assert reply is not None and reply.msg_type == MSG_ERROR
+    finally:
+        slow.close()
+        gone.close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation)
+    assert "client client-0 answered round 7" in str(error)
 
 
 def test_client_join_retries_until_the_server_listens():
