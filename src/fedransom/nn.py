@@ -24,8 +24,13 @@ from .imaging import MIN_SIDE
 N_FILTERS = 32
 KERNEL_SIDE = 3
 N_CLASSES = 2
-# one chunk's conv output in fit and predict: 128 samples at side 64, 5 at side 300
+# one chunk's conv output in fit: 128 samples at side 64, 5 at side 300;
+# at side 300 each chunk streams the 23 MB dense weights twice, so fewer,
+# larger chunks train faster
 CHUNK_BYTES = 64 << 20
+# one chunk's conv output in predict: 16 samples at side 64, 1 at side 300;
+# an eval chunk reads the dense weights once, and a small one stays in cache
+PREDICT_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -131,10 +136,12 @@ def _patches(batch: np.ndarray) -> np.ndarray:
     return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * KERNEL_SIDE ** 2, h * w)
 
 
-def _chunk_size(params: ModelParams, batch: np.ndarray) -> int:
-    """Samples per chunk of *batch*: one chunk's conv output fits CHUNK_BYTES."""
+def _chunk_size(params: ModelParams, batch: np.ndarray, budget: int) -> int:
+    """Samples per chunk of *batch*: one chunk's conv output fits *budget*
+    bytes, and a chunk holds at least one sample. Callers pass CHUNK_BYTES
+    or PREDICT_CHUNK_BYTES as read at call time."""
     # the dense width is the size of one sample's conv output
-    return max(1, CHUNK_BYTES // (params.dense_weights.shape[1] * batch.itemsize))
+    return max(1, budget // (params.dense_weights.shape[1] * batch.itemsize))
 
 
 def conv2d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -279,7 +286,7 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
     bits of one whole-batch draw. A batch that fits one chunk runs as one.
     """
     n = images.shape[0]
-    step = _chunk_size(params, images)
+    step = _chunk_size(params, images, CHUNK_BYTES)
     loss, grads = 0.0, None
     for start in range(0, n, step):
         part = slice(start, start + step)
@@ -316,9 +323,9 @@ def predict(params: ModelParams, batch: np.ndarray,
     A sample is called ransomware (1) when its class-1 probability strictly
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
     tie resolved to class 0. Chunks of the batch run in turn, each conv
-    output within CHUNK_BYTES.
+    output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
     """
-    chunk = _chunk_size(params, batch)
+    chunk = _chunk_size(params, batch, PREDICT_CHUNK_BYTES)
     probs = np.empty((batch.shape[0], N_CLASSES), dtype=np.float32)
     for start in range(0, batch.shape[0], chunk):
         act = _conv_layer(params, batch[start : start + chunk])

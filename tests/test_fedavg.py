@@ -1,10 +1,13 @@
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import constant_params, params_equal, random_params, tiny_dataset
 
 from fedransom import fedavg, nn
-from fedransom.errors import (EmptyShard, EmptyUpdateSet, RoundMismatch,
-                              ShapeMismatch, TooFewSamples)
+from fedransom.errors import (EmptyShard, EmptyUpdateSet, FedransomError,
+                              RoundMismatch, ShapeMismatch, TooFewSamples)
 from fedransom.fedavg import (ClientShard, ClientUpdate, FedConfig, aggregate,
                               client_stream_seed, local_train, partition,
                               partition_indices, run_federation)
@@ -240,3 +243,51 @@ def test_round_report_without_val_set_predicts_the_training_set_once(monkeypatch
         (row,) = r.history
         assert row.train_accuracy == r.accuracy
         assert row.val_accuracy is None
+
+
+def _sequential_federation(dataset, fed, train_cfg):
+    """run_federation's rounds with the clients trained one after another."""
+    local_cfg = replace(train_cfg, epochs=fed.local_epochs, batch_size=fed.batch_size,
+                        learning_rate=fed.learning_rate)
+    shards = partition(dataset, fed.n_clients, fed.seed)
+    params = nn.init_params(train_cfg.side, train_cfg.seed)
+    for round_index in range(fed.n_rounds):
+        params = aggregate([local_train(params, shard, local_cfg, round_index)
+                            for shard in shards])
+    return params
+
+
+@pytest.mark.parametrize("seed", [5, 19])
+@pytest.mark.parametrize("n_clients", [1, 2, 3, 5])
+def test_concurrent_clients_give_the_sequential_bits(n_clients, seed):
+    # 5 clients are more than the cores, so some of a round's clients queue
+    ds = tiny_dataset(n=40, side=16, seed=seed)
+    fed = FedConfig(n_clients=n_clients, n_rounds=2, local_epochs=2, batch_size=4,
+                    learning_rate=0.05, seed=seed)
+    train_cfg = nn.TrainConfig(side=16, seed=seed)
+    pooled, _ = run_federation(ds, fed, train_cfg)
+    assert params_equal(pooled, _sequential_federation(ds, fed, train_cfg))
+
+
+class ClientCrashed(FedransomError):
+    pass
+
+
+def test_failing_client_raises_its_typed_error_and_leaks_no_thread(monkeypatch):
+    ds = tiny_dataset(n=18, side=8, seed=10)
+    fed = FedConfig(n_clients=3, n_rounds=2, local_epochs=1, batch_size=4, seed=4)
+    train_cfg = nn.TrainConfig(side=8, seed=4)
+    crash = ClientCrashed("client-1 lost its shard")
+    real_local_train = fedavg.local_train
+
+    def failing(global_params, shard, config, round_index=0):
+        if shard.client_id == "client-1":
+            raise crash
+        return real_local_train(global_params, shard, config, round_index)
+
+    monkeypatch.setattr(fedavg, "local_train", failing)
+    before = threading.active_count()
+    with pytest.raises(ClientCrashed) as caught:
+        run_federation(ds, fed, train_cfg)
+    assert caught.value is crash
+    assert threading.active_count() == before

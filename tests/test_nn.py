@@ -417,6 +417,41 @@ def test_predict_memory_is_bounded_at_reference_side():
     assert peak < 128 * 2 ** 20, f"predict peaked at {peak / 2 ** 20:.0f} MiB"
 
 
+def test_chunked_predict_equals_whole_batch_predict(monkeypatch):
+    side = 12
+    rng = np.random.default_rng(33)
+    batch = rng.random((10, 1, side, side))
+    params = random_params(side=side, seed=6, dtype=np.float64)
+    results, chunks = {}, {}
+    real_conv_layer = nn._conv_layer
+    for name, samples in (("whole", 10), ("chunked", 3)):
+        monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(samples, side))
+        calls = []
+        monkeypatch.setattr(nn, "_conv_layer", _recording(real_conv_layer, calls))
+        results[name] = nn.predict(params, batch)
+        chunks[name] = [len(act) for act in calls]
+
+    assert chunks == {"whole": [10], "chunked": [3, 3, 3, 1]}
+    (whole_labels, whole_probs), (labels, probs) = results["whole"], results["chunked"]
+    assert np.array_equal(labels, whole_labels)
+    assert np.abs(probs - whole_probs).max() <= 1e-6
+
+
+def test_predict_memory_is_bounded_by_its_chunk_budget_at_desk_side():
+    # 480 side-64 samples: 16 per chunk hold an 8 MiB conv output; one
+    # fit-sized chunk of 128 samples would hold 64 MiB
+    params = nn.init_params(64, 0)
+    batch = np.zeros((480, 1, 64, 64), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        labels, _ = nn.predict(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (480,)
+    assert peak <= 2.5 * nn.PREDICT_CHUNK_BYTES, f"predict peaked at {peak / 2 ** 20:.1f} MiB"
+
+
 def test_fit_memory_is_bounded_at_reference_side():
     # as one unchunked step, these 16 side-300 samples peak at 478 MiB;
     # in chunks of 5 they peak at 212 MiB
