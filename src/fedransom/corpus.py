@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -19,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset, from_images
-from .errors import InvalidSplitSpec, SizeTooSmall, TooFewSamples
+from .errors import CorruptManifest, InvalidSplitSpec, SizeTooSmall, TooFewSamples
 from .imaging import bytes_to_image
 
 MIN_FILE_SIZE = 1024
@@ -57,10 +58,10 @@ class Manifest:
     def __post_init__(self) -> None:
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
-            raise ValueError("duplicate paths in manifest")
+            raise CorruptManifest("duplicate paths in manifest")
         for e in self.entries:
             if e.label not in (0, 1):
-                raise ValueError(f"bad label {e.label} for {e.path}")
+                raise CorruptManifest(f"bad label {e.label} for {e.path}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -162,16 +163,33 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def read_manifest(path) -> Manifest:
+    """The manifest at *path*; a line that is not one well-formed entry
+    raises CorruptManifest naming the file and the 1-based line."""
     path = Path(path)
     entries = []
     with path.open() as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                doc = json.loads(line)
-                entries.append(ManifestEntry(
-                    path=doc["path"], label=int(doc["label"]),
-                    size=int(doc["size"]), sha256=doc["sha256"]))
+                entries.append(_parse_entry(line, f"{path}:{number}"))
     return Manifest(tuple(entries), path.parent)
+
+
+def _parse_entry(line: str, where: str) -> ManifestEntry:
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptManifest(f"{where}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CorruptManifest(f"{where}: expected a JSON object")
+    for key in ("path", "label", "size", "sha256"):
+        if key not in doc:
+            raise CorruptManifest(f"{where}: missing key {key!r}")
+    if not isinstance(doc["path"], str):
+        raise CorruptManifest(f"{where}: path {doc['path']!r} is not a string")
+    for key in ("label", "size"):
+        if type(doc[key]) is not int:
+            raise CorruptManifest(f"{where}: {key} {doc[key]!r} is not an integer")
+    return ManifestEntry(doc["path"], doc["label"], doc["size"], doc["sha256"])
 
 
 def split_paths(manifest_path) -> tuple[Path, Path, Path]:
@@ -203,10 +221,16 @@ def load_dataset(manifest: Manifest, side: int) -> Dataset:
     """Image every file in manifest order at the given side.
 
     Only the first side*side bytes of a file are read: the image uses no more.
+    A file whose size differs from its entry's raises CorruptManifest; the
+    sha256 is not checked, as that would read every byte.
     """
     images = []
     for e in manifest.entries:
-        with (manifest.base_dir / e.path).open("rb") as fh:
+        file = manifest.base_dir / e.path
+        with file.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != e.size:
+                raise CorruptManifest(f"{file} is {size} bytes, its manifest entry says {e.size}")
             images.append(bytes_to_image(fh.read(side * side), side))
     return from_images(images, [e.label for e in manifest.entries])
 

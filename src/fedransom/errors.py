@@ -57,6 +57,10 @@ class LengthMismatch(FedransomError, ValueError):
     """Predictions and labels of different lengths."""
 
 
+class CorruptManifest(FedransomError, ValueError):
+    """Manifest line that does not parse, or an entry its file contradicts."""
+
+
 class CorruptCheckpoint(FedransomError, ValueError):
     """Checkpoint bytes that do not parse to a valid model."""
 

@@ -1,11 +1,13 @@
 """The two-class convolutional classifier, written directly on numpy.
 
-Layer stack: one 3x3 stride-1 same-padding convolution with 32 filters,
-ReLU, inverted dropout, flatten, a dense projection to two logits, and a
-softmax over the two classes. Training is exact backpropagation with
-plain mini-batch SGD. Arithmetic is single precision; operations preserve
-the dtype of their inputs so the whole path can also run in float64
-(which is how the gradients are cross-checked).
+Layer stack: one 3x3 stride-1 same-padding convolution with 32 filters
+over the one-channel image, ReLU, inverted dropout, flatten, a dense
+projection to two logits, and a softmax over the two classes. The
+convolution is one im2col matmul whose patches end in a row of ones that
+carries the bias. Training is exact backpropagation with plain mini-batch
+SGD. Arithmetic is single precision; operations preserve the dtype of
+their inputs so the whole path can also run in float64 (which is how the
+gradients are cross-checked).
 """
 
 from __future__ import annotations
@@ -128,12 +130,18 @@ def softmax_output(h: np.ndarray) -> np.ndarray:
 
 
 def _patches(batch: np.ndarray) -> np.ndarray:
-    """im2col: the (n, 9c, h*w) matrix of every zero-padded 3x3 neighbourhood,
-    rows ordered (channel, row tap, column tap) like a flattened kernel."""
-    n, c, h, w = batch.shape
-    padded = np.pad(batch, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(padded, (KERNEL_SIDE, KERNEL_SIDE), axis=(2, 3))
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * KERNEL_SIDE ** 2, h * w)
+    """im2col of an (n, 1, h, w) batch, (n, 10, h*w): nine rows of zero-padded
+    3x3 neighbourhoods ordered (row tap, column tap) like a flattened kernel,
+    then a row of ones that the bias multiplies."""
+    n, _, h, w = batch.shape
+    padded = np.pad(batch[:, 0], ((0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(padded, (KERNEL_SIDE, KERNEL_SIDE), axis=(1, 2))
+    patches = np.empty((n, KERNEL_SIDE ** 2 + 1, h * w), dtype=batch.dtype)
+    # a view: the nine tap rows split into (row tap, column tap, h, w)
+    taps = patches[:, :-1].reshape(n, KERNEL_SIDE, KERNEL_SIDE, h, w)
+    taps[...] = windows.transpose(0, 3, 4, 1, 2)
+    patches[:, -1] = 1
+    return patches
 
 
 def _chunk_size(params: ModelParams, batch: np.ndarray, budget: int) -> int:
@@ -144,29 +152,14 @@ def _chunk_size(params: ModelParams, batch: np.ndarray, budget: int) -> int:
     return max(1, budget // (params.dense_weights.shape[1] * batch.itemsize))
 
 
-def conv2d_same(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation with a one-pixel zero border.
-
-    Accepts a single (c, h, w) image or an (n, c, h, w) batch; the output
-    keeps the spatial size of the input.
-    """
-    batch = x[None] if x.ndim == 3 else x
-    if batch.ndim != 4:
-        raise ShapeMismatch(f"expected 3-d or 4-d input, got {x.shape}")
-    if kernels.ndim != 4 or kernels.shape[2:] != (KERNEL_SIDE, KERNEL_SIDE):
-        raise ShapeMismatch(f"expected (f, c, 3, 3) kernels, got {kernels.shape}")
-    n, c, h, w = batch.shape
-    n_filters = kernels.shape[0]
-    if kernels.shape[1] != c:
-        raise ShapeMismatch(f"kernel channels {kernels.shape[1]} != input channels {c}")
-    if bias.shape != (n_filters,):
-        raise ShapeMismatch(f"expected ({n_filters},) bias, got {bias.shape}")
-    if h < KERNEL_SIDE or w < KERNEL_SIDE:
-        raise ShapeMismatch(f"spatial size {h}x{w} below kernel size")
-
-    out = np.matmul(kernels.reshape(n_filters, -1), _patches(batch))
-    out += bias[:, None]
-    return out.reshape(x.shape[:-3] + (n_filters, h, w))
+def conv2d_same(batch: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation of an (n, 1, h, w) batch with (f, 1, 3, 3)
+    kernels and a one-pixel zero border; the (n, f, h, w) output keeps the
+    spatial size. One matmul: the bias is the kernel matrix's last column,
+    against the patches' ones row."""
+    n, _, h, w = batch.shape
+    weights = np.concatenate((kernels.reshape(len(kernels), -1), bias[:, None]), axis=1)
+    return np.matmul(weights, _patches(batch)).reshape(n, len(kernels), h, w)
 
 
 def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
@@ -268,11 +261,11 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     # the activations are spent: their buffer takes the activation gradient
     d_pre = np.matmul(d_logits * trace.scale, params.dense_weights, out=trace.flat)
     d_pre *= trace.gate.reshape(n, -1)
-    d_pre = d_pre.reshape(n, N_FILTERS, -1)
-    d_conv_b = d_pre.sum(axis=(0, 2))
-    d_kernels = np.matmul(d_pre, _patches(trace.batch).transpose(0, 2, 1)).sum(axis=0)
-    return loss, ModelParams(d_kernels.reshape(params.conv_kernels.shape), d_conv_b,
-                             d_dense_w, d_dense_b)
+    # (32, 10): dK in the first nine columns, the bias gradient in the last
+    d_conv = np.matmul(d_pre.reshape(n, N_FILTERS, -1),
+                       _patches(trace.batch).transpose(0, 2, 1)).sum(axis=0)
+    return loss, ModelParams(d_conv[:, :-1].reshape(params.conv_kernels.shape),
+                             d_conv[:, -1], d_dense_w, d_dense_b)
 
 
 def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndarray,

@@ -1,5 +1,8 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -9,6 +12,8 @@ from helpers import params_equal
 
 from fedransom import checkpoint, corpus, metrics, nn
 from fedransom.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*argv):
@@ -251,3 +256,23 @@ def test_eval_report_json_is_valid(small_corpus, tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"confusion", "precision", "recall", "f1", "accuracy",
                         "degenerate", "history"}
+
+
+@pytest.mark.parametrize("line", [
+    '{"path": "a.bin", "label": 0, "sha256": ""}',
+    '{"path": "a.bin", "label": 0, "size": 9999, "sha256": ""}',
+], ids=["missing-size", "size-above-the-file"])
+def test_eval_on_a_corrupt_manifest_exits_one_without_a_traceback(tmp_path, line):
+    ckpt = tmp_path / "ck.frwm"
+    checkpoint.save_params(nn.init_params(16, 3), ckpt)
+    (tmp_path / "a.bin").write_bytes(b"\x80" * 5000)
+    (tmp_path / "manifest.jsonl").write_text(line + "\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "fedransom", "eval", "--checkpoint", str(ckpt),
+         "--manifest", str(tmp_path / "manifest.jsonl")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("fedransom: error:")
+    assert "Traceback" not in done.stderr

@@ -7,7 +7,8 @@ from fedransom import corpus
 from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
                               read_manifest, scan_tree, split, synth_benign,
                               synth_ransomlike, write_manifest)
-from fedransom.errors import EmptyInput, InvalidSplitSpec, SizeTooSmall, TooFewSamples
+from fedransom.errors import (CorruptManifest, EmptyInput, InvalidSplitSpec, SizeTooSmall,
+                              TooFewSamples)
 from fedransom.imaging import bytes_to_image, entropy_profile, shannon_entropy
 
 
@@ -81,6 +82,46 @@ def test_manifest_file_round_trip(tmp_path):
     again = read_manifest(path)
     assert again.entries == manifest.entries
     assert again.base_dir == tmp_path
+
+
+_GOOD_LINE = '{"path": "a.bin", "label": 0, "size": 1024, "sha256": ""}'
+
+
+@pytest.mark.parametrize("bad_line, cause", [
+    ('{"path": "b.bin", "label": 0, "size": 1024', "invalid JSON"),
+    ('["b.bin", 0, 1024, ""]', "expected a JSON object"),
+    ('{"path": "b.bin", "label": 0, "sha256": ""}', "missing key 'size'"),
+    ('{"path": "b.bin", "label": "1", "size": 1024, "sha256": ""}', "label '1' is not an integer"),
+    ('{"path": "b.bin", "label": 0, "size": 10.5, "sha256": ""}', "size 10.5 is not an integer"),
+    ('{"path": null, "label": 0, "size": 1024, "sha256": ""}', "path None is not a string"),
+], ids=["invalid-json", "not-an-object", "missing-key", "string-label", "float-size",
+        "null-path"])
+def test_read_manifest_names_the_file_and_line_of_a_bad_entry(tmp_path, bad_line, cause):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n\n{bad_line}\n")
+    with pytest.raises(CorruptManifest) as exc:
+        read_manifest(path)
+    assert str(exc.value).startswith(f"{path}:3: {cause}")
+
+
+def test_manifest_rejects_duplicate_paths_and_bad_labels():
+    entry = ManifestEntry("a.bin", 0, 1024, "")
+    with pytest.raises(CorruptManifest, match="duplicate paths"):
+        Manifest((entry, entry), Path("."))
+    with pytest.raises(CorruptManifest, match="bad label 2 for b.bin"):
+        Manifest((entry, ManifestEntry("b.bin", 2, 1024, "")), Path("."))
+    # still a ValueError, as it was before the typed error
+    with pytest.raises(ValueError):
+        Manifest((entry, entry), Path("."))
+
+
+def test_load_dataset_rejects_a_file_shorter_than_its_manifest_size(tmp_path):
+    (tmp_path / "short.bin").write_bytes(b"\x80" * 5000)
+    manifest = Manifest((ManifestEntry("short.bin", 0, 9999, ""),), tmp_path)
+    with pytest.raises(CorruptManifest) as exc:
+        corpus.load_dataset(manifest, side=16)
+    assert str(exc.value) == (
+        f"{tmp_path / 'short.bin'} is 5000 bytes, its manifest entry says 9999")
 
 
 def _fake_manifest(n_per_class):

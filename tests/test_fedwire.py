@@ -487,6 +487,55 @@ def test_abort_waits_for_every_read_and_raises_the_first_in_peer_order():
     assert "client client-0 answered round 7" in str(error)
 
 
+def _half_an_update(sock, payload):
+    """A valid UPDATE header, then half of its payload."""
+    sock.sendall(fedwire._HEADER.pack(len(payload), MSG_UPDATE) + payload[: len(payload) // 2])
+
+
+def _oversize_update_header(sock, payload):
+    """An UPDATE header that declares one byte more than MAX_PAYLOAD."""
+    sock.sendall(fedwire._HEADER.pack(fedwire.MAX_PAYLOAD + 1, MSG_UPDATE))
+
+
+@pytest.mark.parametrize("send_bad_update", [_half_an_update, _oversize_update_header],
+                         ids=["truncated", "oversize"])
+def test_bad_update_mid_round_aborts_with_an_error_frame_to_the_survivor(send_bad_update):
+    idle = 10.0
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, batch_size=4, seed=1)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=1)
+    survivor_shard = partition(tiny_dataset(n=6, side=8, seed=13), 2, seed=1)[1]
+    t0 = time.monotonic()
+    address, holder, server = _start_server(fed, cfg, accept_timeout=idle,
+                                            idle_timeout=idle)
+    fake = _connect(address, encode_hello("client-0", 3))
+    outcome = {}
+
+    def survive():
+        try:
+            client_join(address, survivor_shard, cfg, idle_timeout=idle)
+        except Exception as exc:  # noqa: BLE001 - surfaced by the test
+            outcome["error"] = exc
+
+    survivor = threading.Thread(target=survive)
+    survivor.start()
+    try:
+        frame = read_frame(fake)
+        assert frame.msg_type == MSG_GLOBAL
+        _, _, params = decode_weight_blob(frame.payload)
+        send_bad_update(fake, encode_weight_blob(0, 3, params))
+    finally:
+        fake.close()
+    server.join(timeout=idle)
+    survivor.join(timeout=idle)
+    assert not server.is_alive()
+    assert time.monotonic() - t0 < idle
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation)
+    assert "client client-0" in str(error)
+    assert isinstance(outcome.get("error"), ProtocolViolation)
+    assert str(outcome["error"]).startswith("server error: ProtocolViolation: client client-0")
+
+
 def test_client_join_retries_until_the_server_listens():
     probe = socket.create_server(("127.0.0.1", 0))
     address = probe.getsockname()

@@ -53,9 +53,9 @@ def test_softmax_rows_sum_to_one():
 def test_conv_hand_computed_all_ones():
     x = np.ones((1, 3, 3), dtype=np.float32)
     k = np.ones((1, 1, 3, 3), dtype=np.float32)
-    out = nn.conv2d_same(x, k, np.zeros(1, dtype=np.float32))
+    out = nn.conv2d_same(x[None], k, np.zeros(1, dtype=np.float32))
     expected = [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]
-    assert out[0].tolist() == expected
+    assert out[0, 0].tolist() == expected
 
 
 def test_conv_center_delta_kernel_is_identity():
@@ -71,9 +71,9 @@ def test_conv_zero_input_yields_bias_planes():
     x = np.zeros((1, 5, 5), dtype=np.float32)
     k = np.random.default_rng(2).standard_normal((4, 1, 3, 3)).astype(np.float32)
     bias = np.array([0.5, -1.0, 0.0, 3.0], dtype=np.float32)
-    out = nn.conv2d_same(x, k, bias)
+    out = nn.conv2d_same(x[None], k, bias)
     for f, b in enumerate(bias):
-        assert (out[f] == b).all()
+        assert (out[0, f] == b).all()
 
 
 def _conv_by_pixel(x, kernels, bias):
@@ -91,7 +91,7 @@ def _conv_by_pixel(x, kernels, bias):
     return out
 
 
-@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("channels", [1])
 def test_conv_matches_per_pixel_oracle(channels):
     rng = np.random.default_rng(channels)
     x = rng.random((2, channels, 5, 7))
@@ -104,13 +104,15 @@ def test_conv_matches_per_pixel_oracle(channels):
     assert np.abs(got32 - want).max() < 1e-5
 
 
-def test_conv_shape_validation():
-    ones = np.ones((1, 4, 4), dtype=np.float32)
+@pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 8, 8)], ids=["3-channel", "3-d"])
+def test_forward_and_predict_reject_what_the_conv_does_not_take(shape):
+    # the conv takes (n, 1, side, side) only; _conv_layer guards it
+    params = random_params(side=8, seed=0)
+    batch = np.ones(shape, dtype=np.float32)
     with pytest.raises(ShapeMismatch):
-        nn.conv2d_same(ones, np.ones((2, 3, 3, 3), dtype=np.float32), np.zeros(2, dtype=np.float32))
+        nn.forward(params, batch, nn.TrainConfig(side=8))
     with pytest.raises(ShapeMismatch):
-        nn.conv2d_same(np.ones((1, 2, 2), dtype=np.float32),
-                       np.ones((1, 1, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32))
+        nn.predict(params, batch)
 
 
 def test_dropout_rate_zero_is_identity():
