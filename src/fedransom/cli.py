@@ -68,11 +68,14 @@ class _Settings:
     def __init__(self, args: argparse.Namespace, parser: argparse.ArgumentParser):
         self.args = args
         self.parser = parser
-        self.file = configparser.ConfigParser()
+        self.file = configparser.ConfigParser(interpolation=None)
         if getattr(args, "config", None):
             if not Path(args.config).is_file():
                 parser.error(f"config file not found: {args.config}")
-            self.file.read(args.config)
+            try:
+                self.file.read(args.config)
+            except configparser.Error as exc:
+                parser.error(f"bad config file {args.config}: {exc}")
         self.preset = _DESK_PRESET if getattr(args, "preset", None) == "desk" else {}
 
     def get(self, name: str, cast=int):
@@ -92,17 +95,21 @@ class _Settings:
 
     @property
     def seed(self) -> int:
-        if self.args.seed is not None:
-            return self.args.seed
-        for section in ("train", "fed", "synth"):
-            if self.file.has_option(section, "seed"):
-                return self.file.getint(section, "seed")
-        env = os.environ.get("FEDRANSOM_SEED")
-        if env is not None:
+        """The first seed given, which must be a non-negative integer."""
+        given = [("--seed", self.args.seed)]
+        given += [(f"seed in [{section}]", self.file.get(section, "seed", fallback=None))
+                  for section in ("train", "fed", "synth")]
+        given.append(("FEDRANSOM_SEED", os.environ.get("FEDRANSOM_SEED")))
+        for where, value in given:
+            if value is None:
+                continue
             try:
-                return int(env)
+                seed = int(value)
             except ValueError:
-                self.parser.error(f"FEDRANSOM_SEED is not an integer: {env!r}")
+                self.parser.error(f"{where} is not an integer: {value!r}")
+            if seed < 0:
+                self.parser.error(f"{where} must be >= 0, got {seed}")
+            return seed
         return 0
 
     def train_config(self, epochs_key: str = "epochs") -> nn.TrainConfig:

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .checkpoint import params_from_bytes, write_tensors
+from .checkpoint import params_from_bytes, params_to_bytes
 from .data import Dataset
 from .errors import (ClientCountTimeout, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
@@ -69,19 +69,6 @@ def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
     return _HEADER.pack(len(payload), msg_type) + payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Parse exactly one frame; rejects short input and unknown types."""
-    if len(data) < _HEADER.size:
-        raise TruncatedFrame(f"{len(data)} bytes is shorter than a frame header")
-    length, msg_type = _HEADER.unpack_from(data)
-    _check_header(length, msg_type)
-    if len(data) < _HEADER.size + length:
-        raise TruncatedFrame(f"payload cut short: {len(data) - _HEADER.size} of {length} bytes")
-    if len(data) > _HEADER.size + length:
-        raise ProtocolViolation(f"{len(data) - _HEADER.size - length} bytes after the frame")
-    return Frame(msg_type, data[_HEADER.size :])
-
-
 def encode_hello(client_id: str, n_samples: int) -> bytes:
     return _HELLO_HEAD.pack(n_samples) + client_id.encode("utf-8")
 
@@ -99,7 +86,7 @@ def decode_hello(payload: bytes) -> tuple[str, int]:
 
 
 def encode_weight_blob(round_index: int, n_samples: int, params: ModelParams) -> bytes:
-    return write_tensors(params.named(), _BLOB_HEAD.pack(round_index, n_samples))
+    return params_to_bytes(params, _BLOB_HEAD.pack(round_index, n_samples))
 
 
 def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:

@@ -86,35 +86,20 @@ class ModelParams:
         return ModelParams(*(a.astype(dtype) for a in self.named().values()))
 
 
-def validate_params(params: ModelParams) -> ModelParams:
-    k, b, w, d = params.conv_kernels, params.conv_bias, params.dense_weights, params.dense_bias
-    if k.shape != (N_FILTERS, 1, KERNEL_SIDE, KERNEL_SIDE) or b.shape != (N_FILTERS,):
-        raise ShapeMismatch(f"bad conv shapes {k.shape}, {b.shape}")
-    if w.ndim != 2 or w.shape[0] != N_CLASSES or d.shape != (N_CLASSES,):
-        raise ShapeMismatch(f"bad dense shapes {w.shape}, {d.shape}")
-    side = math.isqrt(w.shape[1] // N_FILTERS)
-    if N_FILTERS * side * side != w.shape[1] or side < MIN_SIDE:
-        raise ShapeMismatch(f"dense width {w.shape[1]} is not 32 * side**2 with side >= {MIN_SIDE}")
-    for name, arr in params.named().items():
-        if not np.isfinite(arr).all():
-            raise ShapeMismatch(f"non-finite values in {name}")
-    return params
-
-
 def init_params(side: int, seed: int, dtype=np.float32) -> ModelParams:
     """Seeded uniform init; scales keep the initial logits close to zero."""
     rng = np.random.default_rng(seed)
     conv_bound = math.sqrt(6.0 / (KERNEL_SIDE * KERNEL_SIDE))  # fan_in = 9
     width = N_FILTERS * side * side
     dense_bound = math.sqrt(6.0 / (width + N_CLASSES))
-    return validate_params(ModelParams(
+    return ModelParams(
         conv_kernels=rng.uniform(-conv_bound, conv_bound,
                                  (N_FILTERS, 1, KERNEL_SIDE, KERNEL_SIDE)).astype(dtype),
         conv_bias=np.zeros(N_FILTERS, dtype=dtype),
         dense_weights=rng.uniform(-dense_bound, dense_bound,
                                   (N_CLASSES, width)).astype(dtype),
         dense_bias=np.zeros(N_CLASSES, dtype=dtype),
-    ))
+    )
 
 
 def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

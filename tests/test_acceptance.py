@@ -214,12 +214,16 @@ def test_criterion_8_codec_round_trips():
 
         rng = np.random.default_rng(88)
         types = sorted(fedwire._KNOWN_TYPES)
-        for _ in range(1000):
-            msg_type = types[int(rng.integers(len(types)))]
-            payload = rng.bytes(int(rng.integers(0, 2048)))
-            frame = fedwire.decode_frame(fedwire.encode_frame(msg_type, payload))
-            assert frame.msg_type == msg_type
-            assert frame.payload == payload
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            reader.settimeout(5.0)
+            for _ in range(1000):
+                msg_type = types[int(rng.integers(len(types)))]
+                payload = rng.bytes(int(rng.integers(0, 2048)))
+                writer.sendall(fedwire.encode_frame(msg_type, payload))
+                frame = fedwire.read_frame(reader)
+                assert frame.msg_type == msg_type
+                assert frame.payload == payload
 
 
 def test_criterion_9_corpus_separability_and_split_laws(tmp_path):

@@ -55,6 +55,43 @@ def test_fedtrain_rejects_zero_clients(tmp_path):
     assert exc.value.code == 2
 
 
+def test_negative_seed_flag_exits_two(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*synth_args(tmp_path, seed=-1))
+    assert exc.value.code == 2
+
+
+def test_negative_env_seed_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setenv("FEDRANSOM_SEED", "-4")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--out", str(tmp_path), "--n-per-class", "6")
+    assert exc.value.code == 2
+
+
+def test_non_integer_config_seed_exits_two(tmp_path):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text("[synth]\nseed = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert exc.value.code == 2
+
+
+def test_percent_sign_in_a_config_value_exits_two(tmp_path):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text("[synth]\nn_per_class = 5%\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert exc.value.code == 2
+
+
+def test_config_without_a_section_header_exits_two(tmp_path):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text("seed = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert exc.value.code == 2
+
+
 def test_synth_writes_files_and_split_manifests(tmp_path):
     assert run_cli(*synth_args(tmp_path)) == 0
     manifest = corpus.read_manifest(tmp_path / "manifest.jsonl")

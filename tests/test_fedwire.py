@@ -14,9 +14,9 @@ from fedransom.errors import (ClientCountTimeout, OversizeFrame,
                               ProtocolViolation, TruncatedFrame, UnknownFrameType)
 from fedransom.fedavg import FedConfig, partition, run_federation
 from fedransom.fedwire import (MSG_ERROR, MSG_FIN, MSG_GLOBAL, MSG_HELLO,
-                               MSG_UPDATE, Frame, client_join, decode_frame,
-                               decode_hello, decode_weight_blob, encode_frame,
-                               encode_hello, encode_weight_blob, read_frame, serve)
+                               MSG_UPDATE, Frame, client_join, decode_hello,
+                               decode_weight_blob, encode_frame, encode_hello,
+                               encode_weight_blob, read_frame, serve)
 
 
 def test_fin_frame_golden_bytes():
@@ -28,33 +28,33 @@ def test_frame_length_is_little_endian():
     assert frame == b"\x02\x00\x00\x00\x7fab"
 
 
+def _read_sent(data: bytes):
+    """read_frame over a socket pair whose writer sent *data*, then closed."""
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(5.0)
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        return read_frame(reader)
+
+
 @settings(max_examples=200)
 @given(st.sampled_from(sorted(fedwire._KNOWN_TYPES)), st.binary(max_size=2048))
 def test_frame_codec_round_trip(msg_type, payload):
-    assert decode_frame(encode_frame(msg_type, payload)) == Frame(msg_type, payload)
+    assert _read_sent(encode_frame(msg_type, payload)) == Frame(msg_type, payload)
 
 
 def test_decode_rejects_short_input():
     with pytest.raises(TruncatedFrame):
-        decode_frame(b"\x00\x00\x00")
+        _read_sent(b"\x00\x00\x00")
     with pytest.raises(TruncatedFrame):
-        decode_frame(b"\x05\x00\x00\x00\x04ab")
-
-
-def test_decode_rejects_unknown_type():
-    with pytest.raises(UnknownFrameType):
-        decode_frame(b"\x00\x00\x00\x00\x09")
-
-
-def test_decode_rejects_trailing_bytes():
-    with pytest.raises(ProtocolViolation):
-        decode_frame(encode_frame(MSG_FIN) + b"!")
+        _read_sent(b"\x05\x00\x00\x00\x04ab")
 
 
 def test_decode_rejects_declared_oversize():
-    header = (2 ** 31 + 1).to_bytes(4, "little") + bytes([MSG_GLOBAL])
+    header = (fedwire.MAX_PAYLOAD + 1).to_bytes(4, "little") + bytes([MSG_GLOBAL])
     with pytest.raises(OversizeFrame):
-        decode_frame(header)
+        _read_sent(header)
 
 
 def test_encode_rejects_oversize_payload():
