@@ -14,7 +14,10 @@ Layout, all little-endian:
 
 Everything except the payloads is fixed once the image side is known. The
 writer and the reader share one template of per-tensor heads for each
-side, and the reader works the side out from the blob's length.
+side. One parser, read_params, reads bytes, files and sockets alike: its
+caller works the side out (from the blob's length, the file's size or the
+agreed wire frame) and hands it a function that fills each buffer in turn,
+so every payload lands straight in its tensor.
 
 load(save(p)) reproduces p bit for bit.
 """
@@ -22,6 +25,7 @@ load(save(p)) reproduces p bit for bit.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,7 +55,8 @@ def _heads(side: int) -> list[bytes]:
     return heads
 
 
-def _length(side: int) -> int:
+def byte_length(side: int) -> int:
+    """The size of a side-*side* model's checkpoint."""
     return sum(map(len, _heads(side))) + 4 * sum(map(math.prod, _shapes(side)))
 
 
@@ -66,30 +71,55 @@ def params_to_bytes(params: ModelParams, prefix: bytes = b"") -> bytes:
     return b"".join(chunks)
 
 
-def params_from_bytes(blob: bytes) -> ModelParams:
-    """The model in *blob*, any bytes-like object; each tensor is the one
-    copy made of its payload."""
-    blob = memoryview(blob)
-    if blob[:4] != MAGIC:
-        raise CorruptCheckpoint(f"bad magic {bytes(blob[:4])!r}")
-    # _length(0) counts the bytes that do not grow with the side
-    side = math.isqrt(max(len(blob) - _length(0), 0) // _PIXEL_BYTES)
-    if side < MIN_SIDE or _length(side) != len(blob):
-        raise CorruptCheckpoint(f"{len(blob)} bytes is the length of no model of side >= {MIN_SIDE}")
-    arrays, offset = [], 0
+def _side(magic: bytes, n_bytes: int) -> int:
+    """The side of the model whose checkpoint starts with *magic* and has
+    *n_bytes* bytes."""
+    if magic != MAGIC:
+        raise CorruptCheckpoint(f"bad magic {bytes(magic)!r}")
+    # byte_length(0) counts the bytes that do not grow with the side
+    side = math.isqrt(max(n_bytes - byte_length(0), 0) // _PIXEL_BYTES)
+    if side < MIN_SIDE or byte_length(side) != n_bytes:
+        raise CorruptCheckpoint(f"{n_bytes} bytes is the length of no model of side >= {MIN_SIDE}")
+    return side
+
+
+def read_params(fill, side: int) -> ModelParams:
+    """The side-*side* model whose checkpoint *fill* yields, in order.
+
+    fill(view) fills the whole memoryview *view* or raises. Each head is
+    read into a buffer of its own size and compared with the template; each
+    payload is read straight into its tensor, so the tensors are the one
+    copy made of the bytes.
+    """
+    arrays = []
     for name, head, shape in zip(_NAMES, _heads(side), _shapes(side)):
-        if blob[offset : offset + len(head)] != head:
+        got = bytearray(len(head))
+        fill(memoryview(got))
+        if got != head:
             raise CorruptCheckpoint(f"the head of {name} differs from a side-{side} model's")
-        offset += len(head)
-        arr = np.frombuffer(blob, "<f4", math.prod(shape), offset).astype(np.float32)
-        arrays.append(arr.reshape(shape))
-        offset += arr.nbytes
-    # checked only once all four are copied: a check's freed temporary left
-    # between the copies in the heap raised wire-300's peak RSS by ~60 MiB
+        arr = np.empty(shape, "<f4")
+        fill(memoryview(arr).cast("B"))
+        arrays.append(arr)
+    # checked only once all four are filled: a check's freed temporary left
+    # between the tensors in the heap raised wire-300's peak RSS by ~60 MiB
     for name, arr in zip(_NAMES, arrays):
         if not np.isfinite(arr).all():
             raise CorruptCheckpoint(f"non-finite values in {name}")
     return ModelParams(*arrays)
+
+
+def params_from_bytes(blob: bytes) -> ModelParams:
+    """The model in *blob*, any bytes-like object."""
+    blob = memoryview(blob).cast("B")
+    side = _side(blob[:4], len(blob))
+    offset = 0
+
+    def fill(view: memoryview) -> None:
+        nonlocal offset
+        view[:] = blob[offset : offset + len(view)]
+        offset += len(view)
+
+    return read_params(fill, side)
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -97,4 +127,14 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    return params_from_bytes(Path(path).read_bytes())
+    """The model in the file at *path*. The magic and the file's size are
+    checked before any payload is read."""
+    with open(path, "rb") as fh:
+        side = _side(fh.read(4), os.fstat(fh.fileno()).st_size)
+        fh.seek(0)
+
+        def fill(view: memoryview) -> None:
+            if fh.readinto(view) != len(view):
+                raise CorruptCheckpoint(f"{path} ended before its last tensor")
+
+        return read_params(fill, side)

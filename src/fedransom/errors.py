@@ -74,7 +74,8 @@ class UnknownFrameType(FedransomError, ValueError):
 
 
 class OversizeFrame(FedransomError, ValueError):
-    """Wire frame payload above the 2**31 byte ceiling."""
+    """Wire frame that declares a length its type does not allow: above its
+    cap, or other than the one length of a weight frame of the agreed side."""
 
 
 class ProtocolViolation(FedransomError):

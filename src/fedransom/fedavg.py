@@ -29,6 +29,7 @@ from .nn import ModelParams, TrainConfig, accuracy, fit, init_params, predict
 _MIX_CLIENT = 0x9E3779B97F4A7C15
 _MIX_ROUND = 0xC2B2AE3D27D4EB4F
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1 << 16  # aggregate's block: 512 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,10 @@ def aggregate(updates: Sequence[ClientUpdate]) -> ModelParams:
 
     Updates are summed in sorted client_id order and accumulated in double
     precision before casting back, so the result is order independent and
-    identical inputs aggregate to themselves exactly.
+    identical inputs aggregate to themselves exactly. Each tensor is summed
+    in blocks of _BLOCK elements through two small float64 buffers and each
+    block is cast straight into the output, so the only large allocation is
+    the result; every element sees the same operations as a whole-tensor sum.
     """
     if not updates:
         raise EmptyUpdateSet("no client updates to aggregate")
@@ -150,12 +154,20 @@ def aggregate(updates: Sequence[ClientUpdate]) -> ModelParams:
             if arr.shape != names[name].shape:
                 raise ShapeMismatch(f"update {u.client_id} has {name} of shape {arr.shape}")
     total = sum(u.n_samples for u in ordered)
+    weights = [u.n_samples / total for u in ordered]
+    acc, tmp = np.empty(_BLOCK), np.empty(_BLOCK)
     merged = {}
-    for name in names:
-        acc = np.zeros(names[name].shape, dtype=np.float64)
-        for u in ordered:
-            acc += u.params.named()[name].astype(np.float64) * (u.n_samples / total)
-        merged[name] = acc.astype(names[name].dtype)
+    for name, first in names.items():
+        merged[name] = np.empty(first.shape, first.dtype)
+        out = merged[name].reshape(-1)
+        sources = [u.params.named()[name].reshape(-1) for u in ordered]
+        for start in range(0, out.size, _BLOCK):
+            stop = min(start + _BLOCK, out.size)
+            a, t = acc[: stop - start], tmp[: stop - start]
+            a.fill(0.0)
+            for src, w in zip(sources, weights):
+                a += np.multiply(src[start:stop], w, out=t, dtype=np.float64)
+            out[start:stop] = a
     return ModelParams(**merged)
 
 

@@ -7,13 +7,13 @@ Frame layout, little-endian:
     payload bytes
 
 HELLO carries "<I" n_samples (at least 1) then the client id, UTF-8.
-GLOBAL and UPDATE carry a weight blob: "<II" (round, n_samples) then a
-checkpoint in the "FRWM" format, byte for byte; every UPDATE repeats the
-n_samples of its client's HELLO. ERROR carries the cause of an abort as
-UTF-8 text of at most MAX_ERROR_BYTES; FIN is empty. Rounds are
-synchronous: the server aggregates only after all K updates for the round
-have arrived, so a loopback federation reproduces the in-process engine
-exactly.
+GLOBAL and UPDATE carry "<II" (round, n_samples) then a "FRWM" checkpoint:
+exactly 8 + byte_length(side) bytes. Every UPDATE repeats the n_samples of
+its client's HELLO. ERROR carries the cause of an abort as UTF-8 text of at
+most MAX_ERROR_BYTES; FIN is empty. Other frames, and weight frames read
+without a side, carry at most MAX_CONTROL_BYTES. Rounds are synchronous: the
+server aggregates only after all K updates for the round have arrived, so a
+loopback federation reproduces the in-process engine exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import socket
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from contextlib import suppress
+from typing import NamedTuple, Optional
 
-from .checkpoint import params_from_bytes, params_to_bytes
+from .checkpoint import byte_length, params_from_bytes, params_to_bytes, read_params
 from .data import Dataset
 from .errors import (ClientCountTimeout, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
@@ -44,24 +44,24 @@ _HEADER = struct.Struct("<IB")
 _BLOB_HEAD = struct.Struct("<II")
 _HELLO_HEAD = struct.Struct("<I")
 MAX_PAYLOAD = 2 ** 31
-_RECV_START = 1 << 20
+MAX_CONTROL_BYTES = 1 << 16
 
 DEFAULT_IDLE_TIMEOUT = 300.0
 MAX_ERROR_BYTES = 1024
 _CONNECT_RETRY_S = 0.05
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     msg_type: int
-    payload: bytes  # a bytearray when read from a socket
+    payload: bytes = b""  # a bytearray when read from a socket
+    weights: Optional[tuple[int, int, ModelParams]] = None  # (round, n_samples, params)
 
 
-def _check_header(length: int, msg_type: int) -> None:
+def _check_header(length: int, msg_type: int, cap: int = MAX_PAYLOAD) -> None:
     if msg_type not in _KNOWN_TYPES:
         raise UnknownFrameType(f"message type 0x{msg_type:02x} is not in the protocol")
-    if length > MAX_PAYLOAD:
-        raise OversizeFrame(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    if length > cap:
+        raise OversizeFrame(f"payload of {length} bytes exceeds {cap}")
 
 
 def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
@@ -90,10 +90,8 @@ def encode_weight_blob(round_index: int, n_samples: int, params: ModelParams) ->
 
 
 def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:
-    if len(payload) < _BLOB_HEAD.size:
-        raise TruncatedFrame("weight blob shorter than its header")
-    round_index, n_samples = _BLOB_HEAD.unpack_from(payload)
-    return round_index, n_samples, params_from_bytes(memoryview(payload)[_BLOB_HEAD.size :])
+    params = params_from_bytes(memoryview(payload)[_BLOB_HEAD.size :])  # rejects a short blob
+    return (*_BLOB_HEAD.unpack_from(payload), params)
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None:
@@ -111,50 +109,43 @@ def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None
             sock.sendall(view[sent - len(header) :])
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytearray]:
-    """n bytes read into one buffer, or None on a clean close at a frame boundary.
-
-    The buffer starts at 1 MiB and doubles only when the bytes received so
-    far fill it, so a header that declares a large payload commits at most
-    twice the bytes that the peer actually sends.
-    """
-    buf = bytearray(min(n, _RECV_START))
-    got = 0
-    while got < n:
-        if got == len(buf):
-            buf.extend(bytes(min(got, n - got)))
-        with memoryview(buf) as view:
-            read = sock.recv_into(view[got:])
+def _fill(sock: socket.socket, view: memoryview) -> None:
+    """Fill *view* from the socket."""
+    while view:
+        read = sock.recv_into(view)
         if not read:
-            if got == 0:
-                return None
-            raise TruncatedFrame(f"connection closed {got} bytes into a {n}-byte read")
-        got += read
-    return buf
+            raise TruncatedFrame(f"connection closed {len(view)} bytes before the frame's end")
+        view = view[read:]
 
 
-def read_frame(sock: socket.socket) -> Optional[Frame]:
+def read_frame(sock: socket.socket, side: Optional[int] = None) -> Optional[Frame]:
     """One whole frame from the socket, or None on a clean close.
 
-    The header is checked before the payload is read, so an unknown type or
-    an oversize length is rejected without buffering anything after it, and
-    the payload buffer grows only as its bytes arrive.
+    The header is checked before the payload is read. Given the model's
+    *side*, a GLOBAL or UPDATE frame comes back as its weights, read in
+    place; any other frame comes back as its payload.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
+    header = bytearray(_HEADER.size)
+    got = sock.recv_into(header)
+    if not got:
         return None
+    _fill(sock, memoryview(header)[got:])
     length, msg_type = _HEADER.unpack(header)
-    _check_header(length, msg_type)
-    if not length:
-        return Frame(msg_type, b"")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise TruncatedFrame("connection closed before the payload")
-    return Frame(msg_type, payload)
+    if side is None or msg_type not in (MSG_GLOBAL, MSG_UPDATE):
+        _check_header(length, msg_type, MAX_CONTROL_BYTES)
+        payload = bytearray(length)
+        _fill(sock, memoryview(payload))
+        return Frame(msg_type, payload)
+    want = _BLOB_HEAD.size + byte_length(side)
+    if length != want:
+        raise OversizeFrame(f"{length} bytes declared; a side-{side} weight frame has {want}")
+    head = bytearray(_BLOB_HEAD.size)
+    _fill(sock, memoryview(head))
+    params = read_params(lambda view: _fill(sock, view), side)
+    return Frame(msg_type, weights=(*_BLOB_HEAD.unpack(head), params))
 
 
-@dataclass
-class _Peer:
+class _Peer(NamedTuple):
     sock: socket.socket
     client_id: str
     n_samples: int
@@ -168,12 +159,11 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
           ) -> tuple[ModelParams, list[EvalReport]]:
     """Run the aggregation side over TCP and return the final global model.
 
-    Waits for exactly n_clients HELLOs, then per round broadcasts the
-    global weights, gathers one UPDATE per client, and aggregates. Reports
-    mirror run_federation when train_set/val_set are provided. Callers may
-    pass an already-listening *listener* (then bind is ignored); it is
-    closed once the clients have joined. On any failure every accepted
-    connection gets an ERROR frame before it is closed.
+    Waits for exactly n_clients HELLOs, then per round broadcasts the global
+    weights, gathers one UPDATE per client, and aggregates. Reports mirror
+    run_federation when train_set/val_set are provided. A *listener* given
+    replaces bind and is closed once the clients have joined. On any failure
+    every accepted connection gets an ERROR frame before it is closed.
     """
     socks: list[socket.socket] = []
     try:
@@ -182,31 +172,31 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
             peers = _await_clients(listening, socks, fed_config.n_clients,
                                    accept_timeout, idle_timeout)
         peers.sort(key=lambda p: p.client_id)
-        global_params = init_params(train_config.side, train_config.seed)
+        side = train_config.side
+        global_params = init_params(side, train_config.seed)
         reports: list[EvalReport] = []
-        # One reader per peer. The first failure in peer order propagates once
-        # the with block has waited for every read of the round, so no ERROR
-        # frame goes out while a peer's UPDATE is still being read. Unlike
-        # Executor.map, result() cancels no read that has yet to start.
+        # One reader per peer. The first failure in peer order propagates once the
+        # with block has waited for every read of the round, so no ERROR goes out
+        # mid-UPDATE. Unlike Executor.map, result() cancels no read not yet started.
         with ThreadPoolExecutor(len(peers)) as pool:
             for round_index in range(fed_config.n_rounds):
                 blob = encode_weight_blob(round_index, 0, global_params)
                 for peer in peers:
-                    send_frame(peer.sock, MSG_GLOBAL, blob)
-                reads = [pool.submit(_read_update, peer, round_index) for peer in peers]
+                    _send(peer, round_index, MSG_GLOBAL, blob)
+                del blob, global_params  # neither is needed while the updates arrive
+                reads = [pool.submit(_read_update, p, round_index, side) for p in peers]
                 global_params = aggregate([read.result() for read in reads])
+                del reads  # the futures would keep the updates alive
                 if train_set is not None:
                     reports.append(round_report(global_params, round_index, train_set, val_set))
         for peer in peers:
-            send_frame(peer.sock, MSG_FIN)
+            _send(peer, fed_config.n_rounds - 1, MSG_FIN)
         return global_params, reports
     except BaseException as exc:
         reason = f"{type(exc).__name__}: {exc}".encode("utf-8")[:MAX_ERROR_BYTES]
         for sock in socks:
-            try:
+            with suppress(OSError):
                 send_frame(sock, MSG_ERROR, reason)
-            except OSError:
-                pass
         raise
     finally:
         for sock in socks:
@@ -223,8 +213,7 @@ def _await_clients(listener: socket.socket, socks: list[socket.socket], n_client
     while len(peers) < n_clients:
         left = deadline - time.monotonic()
         if left <= 0:
-            raise ClientCountTimeout(
-                f"{len(peers)} of {n_clients} clients joined within {accept_timeout}s")
+            raise ClientCountTimeout(f"{len(peers)} of {n_clients} joined in {accept_timeout}s")
         try:
             conn, _ = listener.accept()
         except socket.timeout:
@@ -245,25 +234,31 @@ def _await_clients(listener: socket.socket, socks: list[socket.socket], n_client
     return peers
 
 
-def _read_update(peer: _Peer, round_index: int) -> ClientUpdate:
-    """The peer's UPDATE for the round; every failure is a ProtocolViolation
-    that names the peer."""
+def _send(peer: _Peer, round_index: int, msg_type: int, payload: bytes = b"") -> None:
+    """send_frame to the peer; a failure is a ProtocolViolation that names it."""
+    try:
+        send_frame(peer.sock, msg_type, payload)
+    except OSError as exc:  # timeouts, resets, closed pipes
+        raise ProtocolViolation(
+            f"client {peer.client_id} failed during round {round_index}: {exc}") from exc
+
+
+def _read_update(peer: _Peer, round_index: int, side: int) -> ClientUpdate:
+    """The peer's UPDATE for the round; a failure is a ProtocolViolation naming it."""
     who = f"client {peer.client_id}"
     try:
-        frame = read_frame(peer.sock)
+        frame = read_frame(peer.sock, side)
         if frame is None:
             raise ProtocolViolation(f"{who} disconnected during round {round_index}")
         if frame.msg_type != MSG_UPDATE:
-            raise ProtocolViolation(
-                f"{who} sent type 0x{frame.msg_type:02x}, expected UPDATE")
-        got_round, n_samples, params = decode_weight_blob(frame.payload)
+            raise ProtocolViolation(f"{who} sent type 0x{frame.msg_type:02x}, expected UPDATE")
+        got_round, n_samples, params = frame.weights
     except (OSError, ValueError) as exc:  # timeouts, resets, bad frames and blobs
         raise ProtocolViolation(f"{who} failed during round {round_index}: {exc}") from exc
     if got_round != round_index:
         raise ProtocolViolation(f"{who} answered round {got_round} during round {round_index}")
     if n_samples != peer.n_samples:
-        raise ProtocolViolation(
-            f"{who} sent an update of {n_samples} samples after a hello of {peer.n_samples}")
+        raise ProtocolViolation(f"{who} sent {n_samples} samples after a hello of {peer.n_samples}")
     return ClientUpdate(peer.client_id, got_round, params, n_samples)
 
 
@@ -283,32 +278,37 @@ def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
 def client_join(address: tuple[str, int], shard: ClientShard,
                 config: TrainConfig, connect_timeout: float = 10.0,
                 idle_timeout: float = DEFAULT_IDLE_TIMEOUT) -> int:
-    """Join a federation: HELLO, then train on each GLOBAL until FIN.
+    """Join a federation: HELLO, then train on each GLOBAL until FIN; 0 on FIN.
 
-    Returns 0 on a clean FIN. A refused connection is retried until
-    *connect_timeout*, so a client may start before its server listens; the
-    last refusal then propagates. Any protocol surprise raises
-    ProtocolViolation.
+    A refused connection is retried until *connect_timeout*, then raised. A
+    failed read or send, or any protocol surprise, raises ProtocolViolation;
+    a GLOBAL for another side than config.side, OversizeFrame from its header.
     """
     sock = _connect(address, connect_timeout)
     sock.settimeout(idle_timeout)
     try:
         send_frame(sock, MSG_HELLO, encode_hello(shard.client_id, len(shard)))
-        while True:
-            frame = read_frame(sock)
-            if frame is None:
-                raise ProtocolViolation("server closed the connection without FIN")
-            if frame.msg_type == MSG_FIN:
-                return 0
-            if frame.msg_type == MSG_ERROR:
-                raise ProtocolViolation(
-                    f"server error: {frame.payload.decode('utf-8', 'replace')}")
-            if frame.msg_type != MSG_GLOBAL:
-                raise ProtocolViolation(
-                    f"unexpected message type 0x{frame.msg_type:02x} from server")
-            round_index, _, global_params = decode_weight_blob(frame.payload)
-            update = local_train(global_params, shard, config, round_index)
-            send_frame(sock, MSG_UPDATE,
-                       encode_weight_blob(round_index, update.n_samples, update.params))
+        while _client_round(sock, shard, config):
+            pass
+        return 0
+    except OSError as exc:  # timeouts, resets, closed pipes
+        raise ProtocolViolation(f"server connection failed: {exc}") from exc
     finally:
         sock.close()
+
+
+def _client_round(sock: socket.socket, shard: ClientShard, config: TrainConfig) -> bool:
+    """Answer one GLOBAL with an UPDATE, keeping nothing of it; False on FIN."""
+    frame = read_frame(sock, config.side)
+    if frame is None:
+        raise ProtocolViolation("server closed the connection without FIN")
+    if frame.msg_type == MSG_FIN:
+        return False
+    if frame.msg_type == MSG_ERROR:
+        raise ProtocolViolation(f"server error: {frame.payload.decode('utf-8', 'replace')}")
+    if frame.msg_type != MSG_GLOBAL:
+        raise ProtocolViolation(f"unexpected message type 0x{frame.msg_type:02x} from server")
+    round_index, _, global_params = frame.weights
+    update = local_train(global_params, shard, config, round_index)
+    send_frame(sock, MSG_UPDATE, encode_weight_blob(round_index, update.n_samples, update.params))
+    return True

@@ -290,7 +290,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
         g = grads.named()[name]
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        new[name] = p - learning_rate * g
+        step = np.multiply(g, learning_rate)
+        new[name] = np.subtract(p, step, out=step)  # one temporary, reused for the result
     return ModelParams(**new)
 
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,3 +108,19 @@ def test_non_finite_values_rejected():
     params.conv_bias[0] = np.nan
     with pytest.raises(CorruptCheckpoint):
         checkpoint.params_from_bytes(checkpoint.params_to_bytes(params))
+
+
+@pytest.mark.parametrize("head", [b"", b"FRWM"], ids=["zeros", "magic"])
+def test_load_params_rejects_a_huge_file_before_reading_it(tmp_path, head):
+    path = tmp_path / "big.bin"
+    with path.open("wb") as fh:
+        fh.write(head)
+        fh.truncate(400 * 10**6)  # sparse: no block of it is written
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpoint):
+            checkpoint.load_params(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

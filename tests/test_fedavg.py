@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,35 @@ def test_aggregate_is_order_invariant_bit_for_bit():
     forward_order = aggregate(updates)
     reverse_order = aggregate(updates[::-1])
     assert params_equal(forward_order, reverse_order)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_aggregate_equals_the_whole_tensor_sum_bit_for_bit(dtype):
+    # at side 50 the dense weights are two whole blocks and part of a third
+    updates = [ClientUpdate(f"client-{k}", 0, random_params(50, k, dtype), n)
+               for k, n in enumerate((3, 7, 1))]
+    for u in updates:
+        u.params.dense_weights[0, :4] = -0.0  # a sum of zeros keeps the sign of none
+    total = sum(u.n_samples for u in updates)
+    merged = aggregate(updates)
+    for name, got in merged.named().items():
+        acc = np.zeros(got.shape)
+        for u in updates:
+            acc += u.params.named()[name].astype(np.float64) * (u.n_samples / total)
+        assert got.dtype == dtype and got.tobytes() == acc.astype(dtype).tobytes(), name
+
+
+def test_aggregate_of_reference_side_updates_allocates_about_one_model():
+    updates = [ClientUpdate(f"client-{k}", 0, nn.init_params(300, k), 1 + k) for k in range(3)]
+    model_bytes = sum(a.nbytes for a in updates[0].params.named().values())
+    tracemalloc.start()
+    try:
+        merged = aggregate(updates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert merged.side == 300
+    assert peak <= 1.1 * model_bytes, f"peak {peak / model_bytes:.2f}x the model"
 
 
 def test_aggregate_validation():

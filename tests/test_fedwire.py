@@ -9,7 +9,7 @@ from helpers import params_equal, random_params, tiny_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedransom import fedwire, nn
+from fedransom import checkpoint, fedwire, nn
 from fedransom.errors import (ClientCountTimeout, OversizeFrame,
                               ProtocolViolation, TruncatedFrame, UnknownFrameType)
 from fedransom.fedavg import FedConfig, partition, run_federation
@@ -28,14 +28,14 @@ def test_frame_length_is_little_endian():
     assert frame == b"\x02\x00\x00\x00\x7fab"
 
 
-def _read_sent(data: bytes):
+def _read_sent(data: bytes, side=None):
     """read_frame over a socket pair whose writer sent *data*, then closed."""
     reader, writer = socket.socketpair()
     with reader, writer:
         reader.settimeout(5.0)
         writer.sendall(data)
         writer.shutdown(socket.SHUT_WR)
-        return read_frame(reader)
+        return read_frame(reader, side)
 
 
 @settings(max_examples=200)
@@ -55,6 +55,24 @@ def test_decode_rejects_declared_oversize():
     header = (fedwire.MAX_PAYLOAD + 1).to_bytes(4, "little") + bytes([MSG_GLOBAL])
     with pytest.raises(OversizeFrame):
         _read_sent(header)
+    with pytest.raises(OversizeFrame):
+        _read_sent(fedwire._HEADER.pack(fedwire.MAX_CONTROL_BYTES + 1, MSG_HELLO))
+    # given the side, a weight frame has exactly one length
+    exact = 8 + checkpoint.byte_length(8)
+    for length in (exact - 1, exact + 1):
+        with pytest.raises(OversizeFrame, match=f"{length} bytes declared.* has {exact}"):
+            _read_sent(fedwire._HEADER.pack(length, MSG_UPDATE), side=8)
+
+
+def test_weight_frame_read_with_its_side_comes_back_as_weights():
+    params = random_params(side=8, seed=9)
+    frame = _read_sent(encode_frame(MSG_GLOBAL, encode_weight_blob(5, 77, params)), side=8)
+    assert frame.msg_type == MSG_GLOBAL and frame.payload == b""
+    round_index, n_samples, again = frame.weights
+    assert (round_index, n_samples) == (5, 77)
+    assert params_equal(params, again)
+    # other frames still come back as payloads
+    assert _read_sent(encode_frame(MSG_ERROR, b"ab"), side=8) == Frame(MSG_ERROR, b"ab")
 
 
 def test_encode_rejects_oversize_payload():
@@ -178,33 +196,53 @@ def test_read_frame_buffers_only_what_arrives():
     reader, writer = socket.socketpair()
     try:
         reader.settimeout(5.0)
-        # declares the largest allowed payload, then sends one byte of it
+        # declares the largest encodable payload, then sends one byte of it
         writer.sendall(fedwire.MAX_PAYLOAD.to_bytes(4, "little") + bytes([MSG_UPDATE, 7]))
+        # declares a control frame at the cap, then sends one byte of it
+        writer.sendall(fedwire._HEADER.pack(fedwire.MAX_CONTROL_BYTES, MSG_ERROR) + b"x")
         writer.close()
         tracemalloc.start()
         try:
+            with pytest.raises(OversizeFrame):
+                read_frame(reader)
+            assert reader.recv(1) == b"\x07"  # rejected before any payload byte was read
             with pytest.raises(TruncatedFrame):
                 read_frame(reader)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 2 * fedwire.MAX_CONTROL_BYTES
     finally:
         reader.close()
 
 
-def test_read_frame_returns_a_payload_larger_than_the_first_buffer():
-    payload = bytes(range(256)) * (5 * 2**20 // 256 + 3)
+def test_read_frame_reads_a_reference_side_update_in_place():
+    params = nn.init_params(300, 0)
+    frame = encode_frame(MSG_UPDATE, encode_weight_blob(3, 1, params))
+    model_bytes = sum(a.nbytes for a in params.named().values())
     reader, writer = socket.socketpair()
-    sender = threading.Thread(target=writer.sendall, args=(encode_frame(MSG_UPDATE, payload),))
+    sender = threading.Thread(target=writer.sendall, args=(frame,))
     try:
-        reader.settimeout(5.0)
+        reader.settimeout(10.0)
         sender.start()
-        assert read_frame(reader) == Frame(MSG_UPDATE, payload)
+        tracemalloc.start()
+        try:
+            got = read_frame(reader, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     finally:
-        sender.join()
+        sender.join(timeout=10)
         reader.close()
         writer.close()
+    assert not sender.is_alive()
+    assert got.msg_type == MSG_UPDATE
+    round_index, n_samples, again = got.weights
+    assert (round_index, n_samples) == (3, 1)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(params.named().values(), again.named().values()))
+    # the model itself, plus np.isfinite's one-byte-per-float temporary
+    assert peak <= 1.3 * model_bytes, f"peak {peak / model_bytes:.2f}x the model"
 
 
 def _free_listener():
@@ -493,8 +531,8 @@ def _half_an_update(sock, payload):
 
 
 def _oversize_update_header(sock, payload):
-    """An UPDATE header that declares one byte more than MAX_PAYLOAD."""
-    sock.sendall(fedwire._HEADER.pack(fedwire.MAX_PAYLOAD + 1, MSG_UPDATE))
+    """An UPDATE header that declares one byte more than a weight frame has."""
+    sock.sendall(fedwire._HEADER.pack(len(payload) + 1, MSG_UPDATE))
 
 
 @pytest.mark.parametrize("send_bad_update", [_half_an_update, _oversize_update_header],
@@ -583,3 +621,76 @@ def test_error_frame_names_the_cause(client_id):
     assert text.startswith("ProtocolViolation: duplicate client id ")
     assert client_id[:100] in text
     assert len(reply.payload) <= 1024
+
+
+def test_failed_global_send_names_the_client_and_the_round():
+    # a side-300 GLOBAL cannot fit in the socket buffers, so sending it to a
+    # peer that has gone fails part way through
+    fed = FedConfig(n_clients=1, n_rounds=1, local_epochs=1, seed=0)
+    cfg = nn.TrainConfig(side=300, seed=0)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0, idle_timeout=10.0)
+    _connect(address, encode_hello("client-0", 1)).close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation), repr(error)
+    assert "client client-0 failed during round 0" in str(error)
+
+
+def test_client_of_another_side_rejects_the_global_from_its_header():
+    idle = 10.0
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, batch_size=4, seed=1)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=1)
+    wide_cfg = nn.TrainConfig(side=16, epochs=1, batch_size=4, seed=1)
+    wide = partition(tiny_dataset(n=6, side=16, seed=13), 2, seed=1)[0]
+    narrow = partition(tiny_dataset(n=6, side=8, seed=13), 2, seed=1)[1]
+    t0 = time.monotonic()
+    address, holder, server = _start_server(fed, cfg, accept_timeout=idle, idle_timeout=idle)
+    outcome = {}
+
+    def join(shard, config):
+        try:
+            client_join(address, shard, config, idle_timeout=idle)
+        except Exception as exc:  # noqa: BLE001 - surfaced by the test
+            outcome[shard.client_id] = exc
+
+    clients = [threading.Thread(target=join, args=args)
+               for args in ((wide, wide_cfg), (narrow, cfg))]
+    for t in clients:
+        t.start()
+    for t in clients:
+        t.join(timeout=idle)
+    server.join(timeout=idle)
+    assert not server.is_alive() and not any(t.is_alive() for t in clients)
+    assert time.monotonic() - t0 < idle
+    sent, expected = 8 + checkpoint.byte_length(8), 8 + checkpoint.byte_length(16)
+    assert isinstance(outcome.get("client-0"), OversizeFrame)
+    assert f"{sent} bytes declared; a side-16 weight frame has {expected}" in str(
+        outcome["client-0"])
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation) and "client client-0" in str(error)
+    assert isinstance(outcome.get("client-1"), ProtocolViolation)
+    assert str(outcome["client-1"]).startswith("server error: ProtocolViolation: client client-0")
+
+
+def test_client_join_names_the_server_for_a_failed_read():
+    listener = _free_listener()
+    address = listener.getsockname()
+    done = threading.Event()
+
+    def silent_server():
+        conn, _ = listener.accept()
+        with conn, listener:
+            read_frame(conn)  # swallow the HELLO, then say nothing
+            done.wait(10)
+
+    thread = threading.Thread(target=silent_server)
+    thread.start()
+    shard = partition(tiny_dataset(n=4, side=8, seed=0), 1, seed=0)[0]
+    try:
+        with pytest.raises(ProtocolViolation, match="^server connection failed: timed out"):
+            client_join(address, shard, nn.TrainConfig(side=8), idle_timeout=0.3)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()

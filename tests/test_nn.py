@@ -239,6 +239,16 @@ def test_sgd_two_steps_equal_one_with_doubled_rate():
         assert np.abs(a - b).max() < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_step_equals_the_plain_formula_bit_for_bit(dtype):
+    params = random_params(side=8, seed=6, dtype=dtype)
+    grads = random_params(side=8, seed=7, dtype=dtype)
+    stepped = nn.sgd_step(params, grads, 0.006)
+    for name, got in stepped.named().items():
+        want = params.named()[name] - 0.006 * grads.named()[name]
+        assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
+
+
 def test_sgd_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         nn.sgd_step(random_params(side=8, seed=0), random_params(side=10, seed=0), 0.1)
