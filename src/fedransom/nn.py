@@ -33,6 +33,9 @@ CHUNK_BYTES = 64 << 20
 # one chunk's conv output in predict: 16 samples at side 64, 1 at side 300;
 # an eval chunk reads the dense weights once, and a small one stays in cache
 PREDICT_CHUNK_BYTES = 8 << 20
+# blocks inside a training chunk: dropout draws of this many units (one holds a
+# side-300 sample's), dense-gradient columns and backward patches of this many bytes
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -159,15 +162,21 @@ def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     round(rate * 2**16), so it drops with probability round(rate * 2**16) / 2**16
     (exact for 0.25, within 2**-17 of *rate* otherwise). Draws are taken in
     whole 64-bit words, so arrays of a multiple of 4 units drawn in turn give
-    the bits of one draw over all of them."""
+    the bits of one draw over all of them; a large array is drawn so, in
+    blocks of _BLOCK_BYTES units, each ANDed into keep in place."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"dropout rate must lie in [0, 1), got {rate}")
     keep = np.ones(x.shape, dtype=bool) if gate is None else gate
     if training and rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs a generator")
-        bits = rng.bit_generator.random_raw(math.ceil(x.size / 4)).view("<u2")[: x.size]
-        keep &= bits.reshape(x.shape) >= round(rate * 2 ** 16)
+        flat = keep.reshape(-1)  # a copy if keep is not contiguous
+        for start in range(0, flat.size, _BLOCK_BYTES):
+            block = flat[start : start + _BLOCK_BYTES]
+            bits = rng.bit_generator.random_raw(math.ceil(block.size / 4)).view("<u2")
+            block &= bits[: block.size] >= round(rate * 2 ** 16)
+        if not keep.flags.c_contiguous:
+            keep[...] = flat.reshape(keep.shape)
     out = np.multiply(x, _survivor_scale(x.dtype, rate, training), out=out)
     out *= keep
     return out, keep
@@ -216,7 +225,8 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
 
 
 def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
-                  batch_size: Optional[int] = None) -> tuple[float, ModelParams]:
+                  batch_size: Optional[int] = None,
+                  into: Optional[ModelParams] = None) -> tuple[float, ModelParams]:
     """Cross-entropy and its exact gradients, summed over the traced samples
     and divided by *batch_size* (default: the number of traced samples, so
     the mean). With the size of a whole mini-batch, the results for its
@@ -225,7 +235,9 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     *labels* is one-hot, shape (n, 2). The loss is computed from the
     logits via log-sum-exp so confident mistakes stay finite. Gradients
     flow through the dense layer, the stored ReLU-and-dropout gate, and
-    the convolution; the returned object has parameter shapes.
+    the convolution; the returned object has parameter shapes, or is
+    *into*, whose arrays the gradients are added to in place. The conv
+    gradient rebuilds patches for groups of samples within _BLOCK_BYTES.
 
     This consumes the trace: the activation gradient is written over
     trace.flat, so the activations are gone once this returns.
@@ -240,44 +252,57 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     loss = float((log_norm - (labels * shifted).sum(axis=1)).sum() / divisor)
 
     d_logits = (trace.probs - labels) / divisor
-    d_dense_w = d_logits.T @ trace.flat
+    if into is None:
+        d_dense_w = d_logits.T @ trace.flat
+    else:
+        d_dense_w = into.dense_weights
+        cols = _BLOCK_BYTES // (N_CLASSES * d_dense_w.itemsize)
+        for c in range(0, d_dense_w.shape[1], cols):
+            d_dense_w[:, c : c + cols] += d_logits.T @ trace.flat[:, c : c + cols]
     d_dense_b = d_logits.sum(axis=0)
 
     # the activations are spent: their buffer takes the activation gradient
     d_pre = np.matmul(d_logits * trace.scale, params.dense_weights, out=trace.flat)
     d_pre *= trace.gate.reshape(n, -1)
     # (32, 10): dK in the first nine columns, the bias gradient in the last
-    d_conv = np.matmul(d_pre.reshape(n, N_FILTERS, -1),
-                       _patches(trace.batch).transpose(0, 2, 1)).sum(axis=0)
-    return loss, ModelParams(d_conv[:, :-1].reshape(params.conv_kernels.shape),
-                             d_conv[:, -1], d_dense_w, d_dense_b)
+    hw = d_pre.shape[1] // N_FILTERS
+    d_conv = np.zeros((N_FILTERS, KERNEL_SIDE ** 2 + 1), dtype=d_pre.dtype)
+    group = max(1, _BLOCK_BYTES // (d_conv.shape[1] * hw * d_pre.itemsize))
+    for s in range(0, n, group):
+        for product in np.matmul(d_pre[s : s + group].reshape(-1, N_FILTERS, hw),
+                                 _patches(trace.batch[s : s + group]).transpose(0, 2, 1)):
+            d_conv += product  # in sample order, as one sum over the chunk adds
+    grads = ModelParams(d_conv[:, :-1].reshape(params.conv_kernels.shape),
+                        d_conv[:, -1], d_dense_w, d_dense_b)
+    if into is None:
+        return loss, grads
+    for total, g in zip(into.named().values(), grads.named().values()):
+        if total is not g:  # the dense weights are summed in place already
+            total += g
+    return loss, into
 
 
 def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndarray,
                         config: TrainConfig, rng: np.random.Generator,
-                        ) -> tuple[float, ModelParams]:
+                        index: Optional[np.ndarray] = None) -> tuple[float, ModelParams]:
     """Training-mode loss and mean gradients of one mini-batch.
 
-    The batch runs in chunks of consecutive samples, each conv output
-    within CHUNK_BYTES, and the chunks' exact partial sums are added up.
+    The mini-batch is *images*, or images[index] gathered chunk by chunk.
+    It runs in chunks of consecutive samples, each conv output within
+    CHUNK_BYTES; later chunks add their exact partial sums to the first's.
     Dropout masks are drawn chunk by chunk in sample order, which gives the
     bits of one whole-batch draw. A batch that fits one chunk runs as one.
     """
-    n = images.shape[0]
+    n = images.shape[0] if index is None else len(index)
     step = _chunk_size(params, images, CHUNK_BYTES)
     loss, grads = 0.0, None
     for start in range(0, n, step):
         part = slice(start, start + step)
+        chunk = images[part] if index is None else images[index[part]]
         # each trace is dropped as soon as its gradients exist
-        part_loss, part_grads = loss_and_grad(
-            forward(params, images[part], config, rng, training=True),
-            labels[part], params, batch_size=n)
+        part_loss, grads = loss_and_grad(forward(params, chunk, config, rng, training=True),
+                                         labels[part], params, batch_size=n, into=grads)
         loss += part_loss
-        if grads is None:
-            grads = part_grads
-        else:
-            for total, g in zip(grads.named().values(), part_grads.named().values()):
-                total += g
     return loss, grads
 
 
@@ -352,8 +377,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         losses = []
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = batch_loss_and_grad(params, train.images[idx], labels[idx],
-                                              config, rng)
+            loss, grads = batch_loss_and_grad(params, train.images, labels[idx],
+                                              config, rng, index=idx)
             if not math.isfinite(loss):
                 raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
             params = sgd_step(params, grads, config.learning_rate)

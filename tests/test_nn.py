@@ -144,6 +144,40 @@ def test_dropout_invalid_rate():
             nn.dropout(x, rate, np.random.default_rng(0), training=True)
 
 
+def _one_draw_keep(shape, rate, seed):
+    """The keep mask and generator state of one whole random_raw draw."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    bits = rng.bit_generator.random_raw(math.ceil(size / 4)).view("<u2")[:size]
+    return bits.reshape(shape) >= round(rate * 2 ** 16), rng.bit_generator.state
+
+
+def test_dropout_in_blocks_draws_the_bits_of_one_draw(monkeypatch):
+    # 1001 units in blocks of 40: 25 whole blocks and a short last one
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 40)
+    x = np.ones((7, 11, 13), dtype=np.float32)
+    expected, state = _one_draw_keep(x.shape, 0.25, 21)
+    rng = np.random.default_rng(21)
+    _, keep = nn.dropout(x, 0.25, rng, training=True)
+    assert np.array_equal(keep, expected)
+    assert rng.bit_generator.state == state
+
+
+def test_dropout_ands_a_non_contiguous_gate_in_place(monkeypatch):
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 40)
+    x = np.ones((9, 12), dtype=np.float64)
+    base = np.random.default_rng(22).random((12, 18)) > 0.3
+    gate = base.T[::2]  # (9, 12), neither C- nor F-contiguous
+    before = gate.copy()
+    expected, state = _one_draw_keep(x.shape, 0.25, 23)
+    rng = np.random.default_rng(23)
+    out, keep = nn.dropout(x, 0.25, rng, training=True, gate=gate)
+    assert keep is gate
+    assert np.array_equal(gate, before & expected)
+    assert np.array_equal(out, np.where(gate, x / 0.75, 0.0))
+    assert rng.bit_generator.state == state
+
+
 def test_zero_params_predict_half_half():
     params = random_params(side=8, seed=0)
     zeros = nn.ModelParams(*(np.zeros_like(a) for a in params.named().values()))
@@ -367,6 +401,58 @@ def test_chunked_dropout_masks_equal_one_whole_batch_draw(monkeypatch):
     assert states["chunked"] == states["whole"]
 
 
+def test_in_place_chunk_total_equals_the_chunk_results_summed_in_order(monkeypatch):
+    side, n = 12, 10
+    rng = np.random.default_rng(34)
+    images = rng.random((n, 1, side, side))
+    labels = one_hot(rng.integers(0, 2, n)).astype(np.float64)
+    cfg = nn.TrainConfig(side=side, dropout_rate=0.25)
+    params = random_params(side=side, seed=7, dtype=np.float64)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side))
+    draw = np.random.default_rng(78)
+    loss, total = 0.0, None
+    for part in (slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)):
+        trace = nn.forward(params, images[part], cfg, draw, training=True)
+        part_loss, grads = nn.loss_and_grad(trace, labels[part], params, batch_size=n)
+        loss += part_loss
+        if total is None:
+            total = grads
+        else:
+            for t, g in zip(total.named().values(), grads.named().values()):
+                t += g
+
+    # blocks small enough for 18 dense column blocks, one-sample patch
+    # groups and several dropout draws per chunk
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 4096)
+    in_place_loss, in_place = nn.batch_loss_and_grad(params, images, labels, cfg,
+                                                     np.random.default_rng(78))
+    assert in_place_loss == loss
+    assert params_equal(in_place, total)
+
+
+def test_fit_gathering_chunks_by_index_equals_fit_on_gathered_batches(monkeypatch):
+    side = 12
+    train = tiny_dataset(n=11, side=side, seed=35)
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=7, seed=2, learning_rate=0.05)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    params, history = nn.fit(nn.init_params(side, 2), train, cfg,
+                             np.random.default_rng(cfg.seed), score_train=False)
+
+    manual, rng = nn.init_params(side, 2), np.random.default_rng(cfg.seed)
+    labels, losses = one_hot(train.labels), []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grads = nn.batch_loss_and_grad(manual, train.images[idx], labels[idx],
+                                                 cfg, rng)
+            manual = nn.sgd_step(manual, grads, cfg.learning_rate)
+            losses.append(loss)
+    assert params_equal(params, manual)
+    assert [h.train_loss for h in history] == [float(np.mean(losses[:2])),
+                                               float(np.mean(losses[2:]))]
+
+
 def test_gradient_oracle_holds_with_chunks_on(monkeypatch):
     # the setup, helpers and tolerance of acceptance criterion 1
     side, batch_size = 12, 4
@@ -466,7 +552,7 @@ def test_predict_memory_is_bounded_by_its_chunk_budget_at_desk_side():
 
 def test_fit_memory_is_bounded_at_reference_side():
     # as one unchunked step, these 16 side-300 samples peak at 478 MiB;
-    # in chunks of 5 they peak at 212 MiB
+    # in chunks of 5 they peak at 159 MiB with whole-chunk temporaries
     train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
                     np.arange(16, dtype=np.int64) % 2)
     cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
@@ -479,6 +565,23 @@ def test_fit_memory_is_bounded_at_reference_side():
         tracemalloc.stop()
     assert np.isfinite(fitted.dense_weights).all()
     assert peak < 256 * 2 ** 20, f"one fit epoch peaked at {peak / 2 ** 20:.0f} MiB"
+
+
+def test_lean_training_step_memory_at_reference_side():
+    # 16 side-300 samples in chunks of 5, each gathered from the dataset,
+    # with blocked dropout draws, an in-place dense gradient and one-sample
+    # patch groups; whole-chunk temporaries peak at 159 MiB
+    train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
+                    np.arange(16, dtype=np.int64) % 2)
+    cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
+    params = nn.init_params(300, 0)
+    tracemalloc.start()
+    try:
+        nn.fit(params, train, cfg, np.random.default_rng(0), score_train=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20, f"one fit epoch peaked at {peak / 2 ** 20:.0f} MiB"
 
 
 def test_parameter_counts_at_reference_side():
