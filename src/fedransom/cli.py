@@ -146,11 +146,6 @@ def _host_port(text: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-def _emit(report: metrics.EvalReport, path: str) -> None:
-    fmt = "csv" if path.endswith(".csv") else "json"
-    metrics.emit_report(report, path, fmt)
-
-
 def _print_report(report: metrics.EvalReport) -> None:
     cm = report.confusion
     print(f"confusion  tn={cm.tn} fp={cm.fp} fn={cm.fn} tp={cm.tp}")
@@ -162,6 +157,22 @@ def _print_report(report: metrics.EvalReport) -> None:
 
 def _load(manifest_path: str, side: int):
     return corpus.load_dataset(corpus.read_manifest(manifest_path), side)
+
+
+def _finish(args, reports: list[metrics.EvalReport], params=None) -> int:
+    """End a run: save --checkpoint-out when there is a model, then print the
+    last report, its history the rows of every report, and write --report-out."""
+    if params is not None:
+        checkpoint.save_params(params, args.checkpoint_out)
+        print(f"saved checkpoint to {args.checkpoint_out}")
+    if reports:
+        report = metrics.with_history(reports[-1], [row for r in reports for row in r.history])
+        _print_report(report)
+        if args.report_out:
+            fmt = "csv" if args.report_out.endswith(".csv") else "json"
+            metrics.emit_report(report, args.report_out, fmt)
+            print(f"wrote report to {args.report_out}")
+    return 0
 
 
 def cmd_synth(args, parser) -> int:
@@ -194,17 +205,10 @@ def cmd_train(args, parser) -> int:
     params = nn.init_params(train_cfg.side, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     params, history = nn.fit(params, dataset, train_cfg, rng, val)
-    checkpoint.save_params(params, args.checkpoint_out)
-    print(f"saved checkpoint to {args.checkpoint_out}")
     report = fedavg.evaluate_model(params, val if val is not None else dataset)
     rows = [metrics.history_row(h.epoch, h.train_accuracy, h.val_accuracy)
             for h in history]
-    report = metrics.with_history(report, rows)
-    _print_report(report)
-    if args.report_out:
-        _emit(report, args.report_out)
-        print(f"wrote report to {args.report_out}")
-    return 0
+    return _finish(args, [metrics.with_history(report, rows)], params)
 
 
 def cmd_fedtrain(args, parser) -> int:
@@ -214,18 +218,12 @@ def cmd_fedtrain(args, parser) -> int:
     dataset = _load(args.manifest, train_cfg.side)
     val = _load(args.val_manifest, train_cfg.side) if args.val_manifest else None
     params, reports = fedavg.run_federation(dataset, fed_cfg, train_cfg, val)
-    checkpoint.save_params(params, args.checkpoint_out)
-    print(f"saved checkpoint to {args.checkpoint_out}")
-    report = metrics.with_history(
-        reports[-1], [row for r in reports for row in r.history])
-    _print_report(report)
-    if args.report_out:
-        _emit(report, args.report_out)
-        print(f"wrote report to {args.report_out}")
-    return 0
+    return _finish(args, reports, params)
 
 
 def cmd_serve(args, parser) -> int:
+    if args.report_out and not (args.val_manifest or args.train_manifest):
+        parser.error("--report-out needs --val-manifest or --train-manifest")
     cfg = _Settings(args, parser)
     train_cfg = cfg.train_config(epochs_key="local_epochs")
     fed_cfg = cfg.fed_config()
@@ -235,16 +233,7 @@ def cmd_serve(args, parser) -> int:
         args.bind, fed_cfg, train_cfg, val_set=val, train_set=train_set,
         accept_timeout=cfg.get("accept_timeout", float),
         idle_timeout=cfg.get("idle_timeout", float))
-    checkpoint.save_params(params, args.checkpoint_out)
-    print(f"saved checkpoint to {args.checkpoint_out}")
-    if reports:
-        report = metrics.with_history(
-            reports[-1], [row for r in reports for row in r.history])
-        _print_report(report)
-        if args.report_out:
-            _emit(report, args.report_out)
-            print(f"wrote report to {args.report_out}")
-    return 0
+    return _finish(args, reports, params)
 
 
 def cmd_client(args, parser) -> int:
@@ -262,12 +251,7 @@ def cmd_eval(args, parser) -> int:
     cfg = _Settings(args, parser)
     params = checkpoint.load_params(args.checkpoint)
     dataset = _load(args.manifest, params.side)
-    report = fedavg.evaluate_model(params, dataset, cfg.get("threshold", float))
-    _print_report(report)
-    if args.report_out:
-        _emit(report, args.report_out)
-        print(f"wrote report to {args.report_out}")
-    return 0
+    return _finish(args, [fedavg.evaluate_model(params, dataset, cfg.get("threshold", float))])
 
 
 def cmd_predict(args, parser) -> int:

@@ -1,22 +1,22 @@
 """Federated orchestration: shard, train locally, average by sample count.
 
-Every client trains on its own shard each round, and a round's clients
-train at the same time, one thread per usable core; the server replaces
+Every client trains on its own shard each round, and the server replaces
 the global model with the sample-count-weighted mean of the client
-results. Weighting, summation order, and per-client random streams are
-all pinned, so finishing order changes nothing: runs are reproducible bit
-for bit, a single-client federation replays centralized training exactly,
-and the in-process engine here is the oracle for the wire protocol.
+results. run_rounds is the round loop of both engines: run_federation's
+clients train in threads here, fedwire.serve's over TCP. Weighting,
+summation order, and per-client random streams are all pinned, so
+finishing order changes nothing: runs are reproducible bit for bit, a
+single-client federation replays centralized training exactly, and a
+loopback wire federation replays the in-process engine.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -194,7 +194,7 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     A round's clients train at the same time in a pool of min(K, usable
     cores) threads; numpy releases the GIL in the matmuls and ufuncs that
     do the work. The first failing client, in shard order, raises once
-    every running client has stopped.
+    every client of the round has finished.
 
     The global model is seeded from train_config.seed; the shard layout from
     fed_config.seed. Reports are computed on val_set when given, otherwise
@@ -204,23 +204,43 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
                         batch_size=fed_config.batch_size,
                         learning_rate=fed_config.learning_rate)
     shards = partition(dataset, fed_config.n_clients, fed_config.seed)
-    global_params = init_params(train_config.side, train_config.seed)
-    reports: list[EvalReport] = []
     with ThreadPoolExecutor(min(len(shards), _usable_cores())) as pool:
-        for round_index in range(fed_config.n_rounds):
-            updates = list(pool.map(local_train, repeat(global_params), shards,
-                                    repeat(local_cfg), repeat(round_index)))
-            global_params = aggregate(updates)
-            reports.append(round_report(global_params, round_index, dataset, val_set))
+        return run_rounds(
+            init_params(train_config.side, train_config.seed), fed_config.n_rounds,
+            lambda params, r: [pool.submit(local_train, params, s, local_cfg, r) for s in shards],
+            dataset, val_set)
+
+
+def run_rounds(global_params: ModelParams, n_rounds: int,
+               start_round: Callable[[ModelParams, int], list[Future]],
+               train_set: Optional[Dataset] = None, val_set: Optional[Dataset] = None,
+               ) -> tuple[ModelParams, list[EvalReport]]:
+    """FedAvg from *global_params*; start_round(params, round_index) starts
+    the round's client updates and returns their futures in client order.
+
+    Holding no model meanwhile, each round waits for every update, raises
+    the first failure in client order (cancelling nothing), aggregates, and
+    reports when a train or a val set is given.
+    """
+    reports: list[EvalReport] = []
+    for round_index in range(n_rounds):
+        updates = start_round(global_params, round_index)
+        del global_params  # the clients hold the model for as long as they need it
+        wait(updates)
+        global_params = aggregate([update.result() for update in updates])
+        del updates  # the futures would keep the updates alive
+        if train_set or val_set:
+            reports.append(round_report(global_params, round_index, train_set, val_set))
     return global_params, reports
 
 
-def round_report(params: ModelParams, round_index: int, train_set: Dataset,
+def round_report(params: ModelParams, round_index: int, train_set: Optional[Dataset],
                  val_set: Optional[Dataset]) -> EvalReport:
     """Report on val_set when it has samples, else on train_set, whose one
-    predict pass then also gives the train accuracy."""
-    if val_set is not None and len(val_set):
-        train_acc = accuracy(params, train_set)
+    predict pass then also gives the train accuracy; None without a train
+    set. A set with no samples is false, so it counts as not given."""
+    if val_set:
+        train_acc = accuracy(params, train_set) if train_set else None
         report = evaluate_model(params, val_set)
         val_acc = report.accuracy
     else:

@@ -11,9 +11,9 @@ GLOBAL and UPDATE carry "<II" (round, n_samples) then a "FRWM" checkpoint:
 exactly 8 + byte_length(side) bytes. Every UPDATE repeats the n_samples of
 its client's HELLO. ERROR carries the cause of an abort as UTF-8 text of at
 most MAX_ERROR_BYTES; FIN is empty. Other frames, and weight frames read
-without a side, carry at most MAX_CONTROL_BYTES. Rounds are synchronous: the
-server aggregates only after all K updates for the round have arrived, so a
-loopback federation reproduces the in-process engine exactly.
+without a side, carry at most MAX_CONTROL_BYTES. serve runs fedavg.run_rounds,
+the in-process engine's round loop, so a loopback federation reproduces that
+engine exactly; a failure raises once every read of its round has ended.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from typing import NamedTuple, Optional
 
@@ -29,7 +29,7 @@ from .checkpoint import byte_length, params_from_bytes, params_to_bytes, read_pa
 from .data import Dataset
 from .errors import (ClientCountTimeout, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
-from .fedavg import ClientShard, ClientUpdate, FedConfig, aggregate, local_train, round_report
+from .fedavg import ClientShard, ClientUpdate, FedConfig, local_train, run_rounds
 from .metrics import EvalReport
 from .nn import ModelParams, TrainConfig, init_params
 
@@ -160,10 +160,11 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
     """Run the aggregation side over TCP and return the final global model.
 
     Waits for exactly n_clients HELLOs, then per round broadcasts the global
-    weights, gathers one UPDATE per client, and aggregates. Reports mirror
-    run_federation when train_set/val_set are provided. A *listener* given
-    replaces bind and is closed once the clients have joined. On any failure
-    every accepted connection gets an ERROR frame before it is closed.
+    weights and reads one UPDATE per client, a thread per client, for
+    fedavg.run_rounds to aggregate; it reports each round when train_set or
+    val_set is given. A *listener* given replaces bind and is closed once the
+    clients have joined. On any failure every accepted connection gets an
+    ERROR frame before it is closed.
     """
     socks: list[socket.socket] = []
     try:
@@ -173,22 +174,16 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
                                    accept_timeout, idle_timeout)
         peers.sort(key=lambda p: p.client_id)
         side = train_config.side
-        global_params = init_params(side, train_config.seed)
-        reports: list[EvalReport] = []
-        # One reader per peer. The first failure in peer order propagates once the
-        # with block has waited for every read of the round, so no ERROR goes out
-        # mid-UPDATE. Unlike Executor.map, result() cancels no read not yet started.
         with ThreadPoolExecutor(len(peers)) as pool:
-            for round_index in range(fed_config.n_rounds):
-                blob = encode_weight_blob(round_index, 0, global_params)
+            def start_round(params: ModelParams, round_index: int) -> list[Future]:
+                blob = encode_weight_blob(round_index, 0, params)
                 for peer in peers:
                     _send(peer, round_index, MSG_GLOBAL, blob)
-                del blob, global_params  # neither is needed while the updates arrive
-                reads = [pool.submit(_read_update, p, round_index, side) for p in peers]
-                global_params = aggregate([read.result() for read in reads])
-                del reads  # the futures would keep the updates alive
-                if train_set is not None:
-                    reports.append(round_report(global_params, round_index, train_set, val_set))
+                return [pool.submit(_read_update, p, round_index, side) for p in peers]
+
+            global_params, reports = run_rounds(
+                init_params(side, train_config.seed), fed_config.n_rounds, start_round,
+                train_set, val_set)
         for peer in peers:
             _send(peer, fed_config.n_rounds - 1, MSG_FIN)
         return global_params, reports

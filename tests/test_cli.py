@@ -256,14 +256,17 @@ def test_serve_and_client_cli_loopback(small_corpus, tmp_path):
     address = f"{host}:{port}"
     manifest = str(small_corpus / "manifest.train.jsonl")
     ckpt = tmp_path / "wire.frwm"
+    rounds = tmp_path / "rounds.csv"
 
     server_rc = {}
 
     def server():
         server_rc["rc"] = run_cli(
-            "serve", "--bind", address, "--clients", "1", "--rounds", "1",
+            "serve", "--bind", address, "--clients", "1", "--rounds", "2",
             "--local-epochs", "1", "--batch", "4", "--side", "16", "--seed", "6",
-            "--accept-timeout", "30", "--checkpoint-out", str(ckpt))
+            "--accept-timeout", "30", "--checkpoint-out", str(ckpt),
+            "--val-manifest", str(small_corpus / "manifest.val.jsonl"),
+            "--report-out", str(rounds))
 
     thread = threading.Thread(target=server)
     thread.start()
@@ -279,6 +282,22 @@ def test_serve_and_client_cli_loopback(small_corpus, tmp_path):
     assert client_rc == 0
     assert server_rc["rc"] == 0
     assert ckpt.exists()
+    history = metrics.parse_history_csv(rounds)
+    assert [row.index for row in history] == [0, 1]
+    assert all(row.train_accuracy is None and row.val_accuracy is not None
+               for row in history)
+
+
+def test_serve_report_out_without_a_manifest_is_a_usage_error(tmp_path):
+    probe = socket.create_server(("127.0.0.1", 0))
+    host, port = probe.getsockname()
+    probe.close()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("serve", "--bind", f"{host}:{port}", "--clients", "1", "--side", "16",
+                "--accept-timeout", "0.2", "--checkpoint-out", str(tmp_path / "g.frwm"),
+                "--report-out", str(tmp_path / "report.json"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "g.frwm").exists()
 
 
 def test_eval_report_json_is_valid(small_corpus, tmp_path):

@@ -3,13 +3,14 @@ import socket
 import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from helpers import params_equal, random_params, tiny_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedransom import checkpoint, fedwire, nn
+from fedransom import checkpoint, fedavg, fedwire, nn
 from fedransom.errors import (ClientCountTimeout, OversizeFrame,
                               ProtocolViolation, TruncatedFrame, UnknownFrameType)
 from fedransom.fedavg import FedConfig, partition, run_federation
@@ -264,24 +265,7 @@ def test_loopback_federation_matches_in_process_run():
     cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, learning_rate=0.006, seed=seed)
 
     expected, _ = run_federation(ds, fed, cfg)
-
-    shards = partition(ds, fed.n_clients, fed.seed)
-    listener = _free_listener()
-    address = listener.getsockname()
-    holder = {}
-    server = threading.Thread(target=_run_server, args=(listener, fed, cfg, holder),
-                              kwargs={"accept_timeout": 30.0})
-    server.start()
-    clients = [threading.Thread(target=client_join, args=(address, shard, cfg))
-               for shard in shards]
-    for t in clients:
-        t.start()
-    for t in clients:
-        t.join(timeout=120)
-    server.join(timeout=120)
-
-    assert "error" not in holder, holder.get("error")
-    wire_params, _ = holder["result"]
+    wire_params, _ = _loopback(fed, cfg, partition(ds, fed.n_clients, fed.seed))
     assert params_equal(wire_params, expected)
 
 
@@ -397,6 +381,56 @@ def _start_server(fed, cfg, **kwargs):
                               kwargs=kwargs)
     server.start()
     return address, holder, server
+
+
+def _loopback(fed, cfg, shards, **kwargs):
+    """serve over loopback, one client_join thread per shard; serve's result."""
+    address, holder, server = _start_server(fed, cfg, accept_timeout=30.0, **kwargs)
+    clients = [threading.Thread(target=client_join, args=(address, shard, cfg))
+               for shard in shards]
+    for t in clients:
+        t.start()
+    for t in clients:
+        t.join(timeout=120)
+    server.join(timeout=120)
+    assert "error" not in holder, holder.get("error")
+    return holder["result"]
+
+
+def test_serve_with_only_a_val_set_reports_every_round_on_it():
+    fed = FedConfig(n_clients=1, n_rounds=2, local_epochs=1, batch_size=4, seed=2)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=2)
+    shards = partition(tiny_dataset(n=8, side=8, seed=12), 1, seed=2)
+    _, reports = _loopback(fed, cfg, shards, val_set=tiny_dataset(n=6, side=8, seed=13))
+    assert len(reports) == fed.n_rounds
+    for round_index, report in enumerate(reports):
+        (row,) = report.history
+        assert row.index == round_index
+        assert row.train_accuracy is None
+        assert row.val_accuracy == report.accuracy
+
+
+@pytest.mark.parametrize("engine", ["in-process", "wire"])
+def test_no_engine_holds_the_previous_global_model_while_it_aggregates(engine, monkeypatch):
+    ds = tiny_dataset(n=18, side=8, seed=10)
+    fed = FedConfig(n_clients=3, n_rounds=2, local_epochs=1, batch_size=4, seed=3)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=3)
+    real_aggregate = fedavg.aggregate
+    entering = []  # a weakref to the model that enters the next round
+    alive = []
+
+    def checked(updates):
+        alive.extend(ref() is not None for ref in entering)
+        merged = real_aggregate(updates)
+        entering[:] = [weakref.ref(merged)]
+        return merged
+
+    monkeypatch.setattr(fedavg, "aggregate", checked)
+    if engine == "in-process":
+        run_federation(ds, fed, cfg)
+    else:
+        _loopback(fed, cfg, partition(ds, fed.n_clients, fed.seed))
+    assert alive == [False]
 
 
 def _connect(address, hello_payload):
