@@ -49,7 +49,7 @@ def from_images(images: Sequence[GrayImage], labels: Sequence[int]) -> Dataset:
     stack = np.stack([img.pixels for img in images])[:, None, :, :]
     if stack.shape[2:] != (side, side):
         raise ShapeMismatch("images of mixed sides")
-    return Dataset(stack.astype(np.float32), np.asarray(labels, dtype=np.int64))
+    return Dataset(stack.astype(np.float32, copy=False), np.asarray(labels, dtype=np.int64))
 
 
 def one_hot(labels: np.ndarray, n_classes: int = 2) -> np.ndarray:

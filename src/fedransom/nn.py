@@ -1,13 +1,13 @@
 """The two-class convolutional classifier, written directly on numpy.
 
 Layer stack: one 3x3 stride-1 same-padding convolution with 32 filters
-over the one-channel image, ReLU, inverted dropout, flatten, a dense
-projection to two logits, and a softmax over the two classes. The
+over the one-channel image, ReLU, inverted dropout (its survivor scale on
+the logits), flatten, a dense projection to two logits, and a softmax. The
 convolution is one im2col matmul whose patches end in a row of ones that
 carries the bias. Training is exact backpropagation with plain mini-batch
-SGD. Arithmetic is single precision; operations preserve the dtype of
-their inputs so the whole path can also run in float64 (which is how the
-gradients are cross-checked).
+SGD, each fit call in one set of reused buffers. Arithmetic is single
+precision; operations preserve the dtype of their inputs so the whole path
+can also run in float64 (which is how the gradients are cross-checked).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ CHUNK_BYTES = 64 << 20
 # one chunk's conv output in predict: 16 samples at side 64, 1 at side 300;
 # an eval chunk reads the dense weights once, and a small one stays in cache
 PREDICT_CHUNK_BYTES = 8 << 20
-# blocks inside a training chunk: dropout draws of this many units (one holds a
-# side-300 sample's), dense-gradient columns and backward patches of this many bytes
+# blocks inside a training chunk: dense-gradient columns and patch groups (of at
+# least one sample) of this many bytes, and dropout draws of 1/32 as many units
 _BLOCK_BYTES = 4 << 20
 
 
@@ -117,19 +117,36 @@ def softmax_output(h: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _patches(batch: np.ndarray) -> np.ndarray:
+def _patches(batch: np.ndarray, workspace: Optional[_Workspace] = None) -> np.ndarray:
     """im2col of an (n, 1, h, w) batch, (n, 10, h*w): nine rows of zero-padded
     3x3 neighbourhoods ordered (row tap, column tap) like a flattened kernel,
-    then a row of ones that the bias multiplies."""
+    then a row of ones that the bias multiplies; in a workspace's buffers if given."""
     n, _, h, w = batch.shape
-    padded = np.pad(batch[:, 0], ((0, 0), (1, 1), (1, 1)))
+    if workspace is None:
+        padded = np.pad(batch[:, 0], ((0, 0), (1, 1), (1, 1)))
+        patches = np.empty((n, KERNEL_SIDE ** 2 + 1, h * w), dtype=batch.dtype)
+        patches[:, -1] = 1
+    else:  # the border stays zero
+        padded, patches = workspace.padded[:n], workspace.patches[:n]
+        padded[:, 1:-1, 1:-1] = batch[:, 0]
     windows = sliding_window_view(padded, (KERNEL_SIDE, KERNEL_SIDE), axis=(1, 2))
-    patches = np.empty((n, KERNEL_SIDE ** 2 + 1, h * w), dtype=batch.dtype)
     # a view: the nine tap rows split into (row tap, column tap, h, w)
     taps = patches[:, :-1].reshape(n, KERNEL_SIDE, KERNEL_SIDE, h, w)
     taps[...] = windows.transpose(0, 3, 4, 1, 2)
-    patches[:, -1] = 1
     return patches
+
+
+class _Workspace:
+    """fit's buffers for its largest chunk; patches keep the images' dtype, as in _patches."""
+
+    def __init__(self, samples: int, images: np.ndarray, dtype: np.dtype) -> None:
+        side, hw = images.shape[2], images.shape[2] ** 2
+        group = min(samples, max(1, _BLOCK_BYTES // ((KERNEL_SIDE ** 2 + 1) * hw * dtype.itemsize)))
+        self.act = np.empty((samples, N_FILTERS, hw), dtype)  # conv output
+        self.gate = np.empty((samples, N_FILTERS, side, side), dtype=bool)
+        self.padded = np.zeros((group, side + 2, side + 2), images.dtype)
+        self.patches = np.ones((group, KERNEL_SIDE ** 2 + 1, hw), images.dtype)  # the ones row stays
+        self.cols = np.empty((N_CLASSES, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize)), dtype)
 
 
 def _chunk_size(params: ModelParams, batch: np.ndarray, budget: int) -> int:
@@ -140,14 +157,20 @@ def _chunk_size(params: ModelParams, batch: np.ndarray, budget: int) -> int:
     return max(1, budget // (params.dense_weights.shape[1] * batch.itemsize))
 
 
-def conv2d_same(batch: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv2d_same(batch: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
+                workspace: Optional[_Workspace] = None) -> np.ndarray:
     """Stride-1 cross-correlation of an (n, 1, h, w) batch with (f, 1, 3, 3)
     kernels and a one-pixel zero border; the (n, f, h, w) output keeps the
     spatial size. One matmul: the bias is the kernel matrix's last column,
-    against the patches' ones row."""
+    against the patches' ones row, one patch group at a time in a workspace."""
     n, _, h, w = batch.shape
     weights = np.concatenate((kernels.reshape(len(kernels), -1), bias[:, None]), axis=1)
-    return np.matmul(weights, _patches(batch)).reshape(n, len(kernels), h, w)
+    if workspace is None:
+        return np.matmul(weights, _patches(batch)).reshape(n, len(kernels), h, w)
+    for s in range(0, n, len(workspace.patches)):
+        part = workspace.act[s : min(n, s + len(workspace.patches))]
+        np.matmul(weights, _patches(batch[s : s + len(part)], workspace), out=part)
+    return workspace.act[:n].reshape(n, len(kernels), h, w)
 
 
 def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
@@ -156,30 +179,35 @@ def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     """Inverted dropout: returns (x * keep / (1 - rate), keep), keep a boolean
     mask. A given *gate*, such as ReLU's x > 0, is ANDed into keep in place;
     pass out=x to scale and mask in place. Without a gate, in eval mode or
-    at rate 0, the output equals the input.
+    at rate 0, the output equals the input. forward scales its logits instead.
 
     Each unit costs 16 random bits: it is kept when its draw is at least
     round(rate * 2**16), so it drops with probability round(rate * 2**16) / 2**16
     (exact for 0.25, within 2**-17 of *rate* otherwise). Draws are taken in
     whole 64-bit words, so arrays of a multiple of 4 units drawn in turn give
-    the bits of one draw over all of them; a large array is drawn so, in
-    blocks of _BLOCK_BYTES units, each ANDed into keep in place."""
+    the bits of one draw over all of them; keep is drawn so, in blocks."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"dropout rate must lie in [0, 1), got {rate}")
     keep = np.ones(x.shape, dtype=bool) if gate is None else gate
     if training and rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs a generator")
-        flat = keep.reshape(-1)  # a copy if keep is not contiguous
-        for start in range(0, flat.size, _BLOCK_BYTES):
-            block = flat[start : start + _BLOCK_BYTES]
-            bits = rng.bit_generator.random_raw(math.ceil(block.size / 4)).view("<u2")
-            block &= bits[: block.size] >= round(rate * 2 ** 16)
-        if not keep.flags.c_contiguous:
-            keep[...] = flat.reshape(keep.shape)
+        _draw_keep(keep, rate, rng)
     out = np.multiply(x, _survivor_scale(x.dtype, rate, training), out=out)
     out *= keep
     return out, keep
+
+
+def _draw_keep(keep: np.ndarray, rate: float, rng: Optional[np.random.Generator]) -> None:
+    """AND dropout's training draw into the boolean *keep* in place."""
+    if rng is None:
+        raise ValueError("training-mode dropout needs a generator")
+    flat = keep.reshape(-1)  # a copy if keep is not contiguous
+    units = 4 * max(1, _BLOCK_BYTES // 128)  # whole 64-bit words of 4 units
+    for start in range(0, flat.size, units):
+        block = flat[start : start + units]
+        bits = rng.bit_generator.random_raw(math.ceil(block.size / 4)).view("<u2")
+        block &= bits[: block.size] >= round(rate * 2 ** 16)
+    if not keep.flags.c_contiguous:
+        keep[...] = flat.reshape(keep.shape)
 
 
 def _survivor_scale(dtype: np.dtype, rate: float, training: bool):
@@ -193,13 +221,14 @@ class ForwardTrace:
     batch: np.ndarray        # (n, 1, side, side)
     gate: np.ndarray         # bool, conv pre-activation > 0 and kept by dropout
     scale: np.floating       # dropout survivor scale, 1 outside training
-    flat: np.ndarray         # post-dropout activations, flattened per sample;
+    flat: np.ndarray         # gated activations, flattened per sample;
                              # loss_and_grad overwrites them with their gradient
     logits: np.ndarray       # (n, 2)
     probs: np.ndarray        # (n, 2), rows sum to 1
 
 
-def _conv_layer(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+def _conv_layer(params: ModelParams, batch: np.ndarray,
+                workspace: Optional[_Workspace] = None) -> np.ndarray:
     """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
     if batch.ndim != 4 or batch.shape[1] != 1:
         raise ShapeMismatch(f"expected (n, 1, side, side) batch, got {batch.shape}")
@@ -207,26 +236,31 @@ def _conv_layer(params: ModelParams, batch: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"batch side {batch.shape[2]} does not match dense width "
             f"{params.dense_weights.shape[1]}")
-    return conv2d_same(batch, params.conv_kernels, params.conv_bias)
+    return conv2d_same(batch, params.conv_kernels, params.conv_bias, workspace=workspace)
 
 
 def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
-            rng: Optional[np.random.Generator] = None,
-            training: bool = False) -> ForwardTrace:
+            rng: Optional[np.random.Generator] = None, training: bool = False, *,
+            workspace: Optional[_Workspace] = None) -> ForwardTrace:
     """Run the full stack: conv, ReLU, dropout, flatten, dense, softmax.
-    ReLU and dropout share one boolean gate and work in the conv output's
-    buffer, which the trace keeps as its flat activations."""
-    act = _conv_layer(params, batch)
-    _, gate = dropout(act, config.dropout_rate, rng, training, act > 0, out=act)
+    ReLU and dropout share one boolean gate that masks the conv output in its
+    buffer, which the trace keeps as its flat activations; the dropout scale
+    multiplies the logits. A workspace holds the conv output and the gate."""
+    act = _conv_layer(params, batch, workspace)
+    gate = np.greater(act, 0, out=None if workspace is None else workspace.gate[: len(act)])
+    if training and config.dropout_rate > 0.0:
+        _draw_keep(gate, config.dropout_rate, rng)
+    act *= gate
     scale = _survivor_scale(act.dtype, config.dropout_rate, training)
     flat = act.reshape(batch.shape[0], -1)
-    logits = flat @ params.dense_weights.T + params.dense_bias
+    logits = (flat @ params.dense_weights.T) * scale + params.dense_bias
     return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits))
 
 
 def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
-                  batch_size: Optional[int] = None,
-                  into: Optional[ModelParams] = None) -> tuple[float, ModelParams]:
+                  batch_size: Optional[int] = None, into: Optional[ModelParams] = None,
+                  overwrite: bool = False, *,
+                  workspace: Optional[_Workspace] = None) -> tuple[float, ModelParams]:
     """Cross-entropy and its exact gradients, summed over the traced samples
     and divided by *batch_size* (default: the number of traced samples, so
     the mean). With the size of a whole mini-batch, the results for its
@@ -235,9 +269,9 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     *labels* is one-hot, shape (n, 2). The loss is computed from the
     logits via log-sum-exp so confident mistakes stay finite. Gradients
     flow through the dense layer, the stored ReLU-and-dropout gate, and
-    the convolution; the returned object has parameter shapes, or is
-    *into*, whose arrays the gradients are added to in place. The conv
-    gradient rebuilds patches for groups of samples within _BLOCK_BYTES.
+    the convolution into new arrays, or into *into*'s: added in place, or
+    written over them with *overwrite*. The conv gradient rebuilds patches
+    for groups of samples within _BLOCK_BYTES.
 
     This consumes the trace: the activation gradient is written over
     trace.flat, so the activations are gone once this returns.
@@ -252,17 +286,20 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     loss = float((log_norm - (labels * shifted).sum(axis=1)).sum() / divisor)
 
     d_logits = (trace.probs - labels) / divisor
+    d_dense = d_logits * trace.scale  # through the survivor scale on the logits
     if into is None:
-        d_dense_w = d_logits.T @ trace.flat
+        into, overwrite = params.astype(d_dense.dtype), True  # new arrays to write over
+    if overwrite:
+        np.matmul(d_dense.T, trace.flat, out=into.dense_weights)
     else:
-        d_dense_w = into.dense_weights
-        cols = _BLOCK_BYTES // (N_CLASSES * d_dense_w.itemsize)
-        for c in range(0, d_dense_w.shape[1], cols):
-            d_dense_w[:, c : c + cols] += d_logits.T @ trace.flat[:, c : c + cols]
-    d_dense_b = d_logits.sum(axis=0)
+        cols = _BLOCK_BYTES // (N_CLASSES * into.dense_weights.itemsize)
+        for c in range(0, trace.flat.shape[1], cols):
+            block = trace.flat[:, c : c + cols]
+            buf = None if workspace is None else workspace.cols[:, : block.shape[1]]
+            into.dense_weights[:, c : c + cols] += np.matmul(d_dense.T, block, out=buf)
 
     # the activations are spent: their buffer takes the activation gradient
-    d_pre = np.matmul(d_logits * trace.scale, params.dense_weights, out=trace.flat)
+    d_pre = np.matmul(d_dense, params.dense_weights, out=trace.flat)
     d_pre *= trace.gate.reshape(n, -1)
     # (32, 10): dK in the first nine columns, the bias gradient in the last
     hw = d_pre.shape[1] // N_FILTERS
@@ -270,44 +307,43 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     group = max(1, _BLOCK_BYTES // (d_conv.shape[1] * hw * d_pre.itemsize))
     for s in range(0, n, group):
         for product in np.matmul(d_pre[s : s + group].reshape(-1, N_FILTERS, hw),
-                                 _patches(trace.batch[s : s + group]).transpose(0, 2, 1)):
+                                 _patches(trace.batch[s : s + group], workspace).transpose(0, 2, 1)):
             d_conv += product  # in sample order, as one sum over the chunk adds
-    grads = ModelParams(d_conv[:, :-1].reshape(params.conv_kernels.shape),
-                        d_conv[:, -1], d_dense_w, d_dense_b)
-    if into is None:
-        return loss, grads
-    for total, g in zip(into.named().values(), grads.named().values()):
-        if total is not g:  # the dense weights are summed in place already
-            total += g
+    for total, g in ((into.conv_kernels, d_conv[:, :-1].reshape(params.conv_kernels.shape)),
+                     (into.conv_bias, d_conv[:, -1]), (into.dense_bias, d_logits.sum(axis=0))):
+        total[...] = g if overwrite else total + g
     return loss, into
 
 
 def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndarray,
                         config: TrainConfig, rng: np.random.Generator,
-                        index: Optional[np.ndarray] = None) -> tuple[float, ModelParams]:
+                        index: Optional[np.ndarray] = None, *, into: Optional[ModelParams] = None,
+                        workspace: Optional[_Workspace] = None) -> tuple[float, ModelParams]:
     """Training-mode loss and mean gradients of one mini-batch.
 
     The mini-batch is *images*, or images[index] gathered chunk by chunk.
     It runs in chunks of consecutive samples, each conv output within
     CHUNK_BYTES; later chunks add their exact partial sums to the first's.
     Dropout masks are drawn chunk by chunk in sample order, which gives the
-    bits of one whole-batch draw. A batch that fits one chunk runs as one.
+    bits of one whole-batch draw. A batch that fits one chunk runs as one,
+    and the gradients go into new arrays or into *into*'s.
     """
     n = images.shape[0] if index is None else len(index)
     step = _chunk_size(params, images, CHUNK_BYTES)
-    loss, grads = 0.0, None
+    loss, grads = 0.0, into
     for start in range(0, n, step):
         part = slice(start, start + step)
         chunk = images[part] if index is None else images[index[part]]
-        # each trace is dropped as soon as its gradients exist
-        part_loss, grads = loss_and_grad(forward(params, chunk, config, rng, training=True),
-                                         labels[part], params, batch_size=n, into=grads)
+        part_loss, grads = loss_and_grad(  # each trace is dropped once its gradients exist
+            forward(params, chunk, config, rng, training=True, workspace=workspace),
+            labels[part], params, batch_size=n, into=grads, overwrite=start == 0, workspace=workspace)
         loss += part_loss
     return loss, grads
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """p <- p - lr * g, elementwise."""
+def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float, *,
+             out: Optional[ModelParams] = None) -> ModelParams:
+    """p <- p - lr * g, elementwise, into new arrays or into *out*'s, which may be grads'."""
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
     new = {}
@@ -315,8 +351,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
         g = grads.named()[name]
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        step = np.multiply(g, learning_rate)
-        new[name] = np.subtract(p, step, out=step)  # one temporary, reused for the result
+        step = np.multiply(g, learning_rate, out=None if out is None else out.named()[name])
+        new[name] = np.subtract(p, step, out=step)  # the step's buffer takes the result
     return ModelParams(**new)
 
 
@@ -362,7 +398,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
     Each mini-batch goes through batch_loss_and_grad, in chunks that bound
-    its memory.
+    its memory, in one workspace. Steps write their models over their gradients
+    in two private sets of arrays, never the caller's, which clients may share.
     Without *score_train* the per-epoch pass over the training set is
     skipped and train_accuracy is None; the weights do not change.
     """
@@ -371,17 +408,20 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     if train.side != config.side:
         raise ShapeMismatch(f"dataset side {train.side} != config side {config.side}")
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
+    chunk = min(config.batch_size, len(train), _chunk_size(params, train.images, CHUNK_BYTES))
+    workspace = _Workspace(chunk, train.images, np.result_type(params.dense_weights, train.images))
+    pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(train))
         losses = []
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = batch_loss_and_grad(params, train.images, labels[idx],
-                                              config, rng, index=idx)
+            loss, grads = batch_loss_and_grad(params, train.images, labels[idx], config, rng,
+                                              index=idx, into=pair[0], workspace=workspace)
             if not math.isfinite(loss):
                 raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
-            params = sgd_step(params, grads, config.learning_rate)
+            params, pair = sgd_step(params, grads, config.learning_rate, out=grads), pair[::-1]
             losses.append(loss)
         history.append(EpochStats(
             epoch=epoch,

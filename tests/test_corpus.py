@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,23 @@ def test_load_dataset_images_long_and_short_files_as_whole_reads(tmp_path):
     ds = corpus.load_dataset(Manifest(tuple(entries), tmp_path), side)
     for image, blob in zip(ds.images, blobs.values()):
         assert (image[0] == bytes_to_image(blob, side).pixels).all()
+
+
+def test_load_dataset_memory_at_reference_side(tmp_path):
+    # 64 side-300 files: the per-file images and their stack are two copies
+    # of the dataset's bytes; a float32 copy of the stack made it 3.00x
+    side, rng, entries = 300, np.random.default_rng(6), []
+    for i in range(64):
+        (tmp_path / f"{i}.bin").write_bytes(rng.bytes(side * side))
+        entries.append(ManifestEntry(f"{i}.bin", i % 2, side * side, ""))
+    tracemalloc.start()
+    try:
+        ds = corpus.load_dataset(Manifest(tuple(entries), tmp_path), side)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.images.dtype == np.float32
+    assert peak <= 2.25 * ds.images.nbytes, f"the load peaked at {peak / ds.images.nbytes:.2f}x"
 
 
 def test_load_dataset_rejects_an_empty_file(tmp_path):

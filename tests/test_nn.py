@@ -153,7 +153,7 @@ def _one_draw_keep(shape, rate, seed):
 
 
 def test_dropout_in_blocks_draws_the_bits_of_one_draw(monkeypatch):
-    # 1001 units in blocks of 40: 25 whole blocks and a short last one
+    # 1001 units in draws of one 64-bit word (4 units): 250 whole blocks and a short last one
     monkeypatch.setattr(nn, "_BLOCK_BYTES", 40)
     x = np.ones((7, 11, 13), dtype=np.float32)
     expected, state = _one_draw_keep(x.shape, 0.25, 21)
@@ -384,15 +384,15 @@ def test_chunked_dropout_masks_equal_one_whole_batch_draw(monkeypatch):
     # every pre-activation positive, so the keep mask is the random draw alone
     params = nn.ModelParams(params.conv_kernels, np.full_like(params.conv_bias, 10.0),
                             params.dense_weights, params.dense_bias)
-    real_dropout = nn.dropout
+    real_forward = nn.forward
     masks, states = {}, {}
     for name, samples in (("whole", 10), ("chunked", 3)):
         monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(samples, side))
         calls = []
-        monkeypatch.setattr(nn, "dropout", _recording(real_dropout, calls))
+        monkeypatch.setattr(nn, "forward", _recording(real_forward, calls))
         draw = np.random.default_rng(77)
         nn.batch_loss_and_grad(params, images, labels, cfg, draw)
-        masks[name] = [keep for _, keep in calls]
+        masks[name] = [trace.gate for trace in calls]
         states[name] = draw.bit_generator.state
 
     assert len(masks["whole"]) == 1 and len(masks["chunked"]) == 4
@@ -451,6 +451,99 @@ def test_fit_gathering_chunks_by_index_equals_fit_on_gathered_batches(monkeypatc
     assert params_equal(params, manual)
     assert [h.train_loss for h in history] == [float(np.mean(losses[:2])),
                                                float(np.mean(losses[2:]))]
+
+
+def test_fit_leaves_the_callers_model_untouched(monkeypatch):
+    # 3 epochs of 3 steps, each in chunks of 3 + 1 (the last 3): every step
+    # writes its new model over its gradients, never over the input
+    side = 12
+    train = tiny_dataset(n=11, side=side, seed=36)
+    cfg = nn.TrainConfig(side=side, epochs=3, batch_size=4, learning_rate=0.1)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    params = nn.init_params(side, 3)
+    before = [a.tobytes() for a in params.named().values()]
+    fitted, _ = nn.fit(params, train, cfg, np.random.default_rng(0), score_train=False)
+    assert [a.tobytes() for a in params.named().values()] == before
+    assert not params_equal(fitted, params)
+    for a in fitted.named().values():
+        assert not any(np.shares_memory(a, b) for b in params.named().values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fit_in_its_workspace_equals_the_public_step_bit_for_bit(monkeypatch, dtype):
+    # batches of 7 from 11 float32 images in chunks of 3: 3 + 3 + 1, then 3 + 1;
+    # one-sample patch groups, 9 or 18 dense column blocks, 128-unit dropout draws
+    side = 12
+    train = tiny_dataset(n=11, side=side, seed=37)
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=7, learning_rate=0.05)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", 4096)
+    start = nn.init_params(side, 4).astype(dtype)
+    fitted, history = nn.fit(start, train, cfg, np.random.default_rng(9), score_train=False)
+
+    manual, rng = start, np.random.default_rng(9)
+    labels, losses = one_hot(train.labels).astype(dtype), []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(train))
+        for begin in range(0, len(train), cfg.batch_size):
+            idx = order[begin : begin + cfg.batch_size]
+            loss, total = 0.0, None
+            for part in (idx[i : i + 3] for i in range(0, len(idx), 3)):
+                trace = nn.forward(manual, train.images[part], cfg, rng, training=True)
+                part_loss, grads = nn.loss_and_grad(trace, labels[part], manual,
+                                                    batch_size=len(idx))
+                loss += part_loss
+                if total is None:
+                    total = grads
+                else:
+                    for t, g in zip(total.named().values(), grads.named().values()):
+                        t += g
+            manual = nn.sgd_step(manual, total, cfg.learning_rate)
+            losses.append(loss)
+    assert all(a.dtype == dtype for a in fitted.named().values())
+    assert params_equal(fitted, manual)
+    assert [h.train_loss for h in history] == [float(np.mean(losses[:2])),
+                                               float(np.mean(losses[2:]))]
+
+
+def _step_transients(monkeypatch, train, cfg):
+    """One fit epoch; for each SGD step, the traced peak during the step less
+    the memory live when it began."""
+    real_step, transients, live = nn.sgd_step, [], [0]
+
+    def recorded(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        transients.append(peak - live[0])
+        tracemalloc.reset_peak()
+        live[0] = current
+        return out
+
+    monkeypatch.setattr(nn, "sgd_step", recorded)
+    params = nn.init_params(cfg.side, 0)  # untraced, so its release is no step's
+    tracemalloc.start()
+    try:
+        nn.fit(params, train, cfg, np.random.default_rng(0), score_train=False)
+    finally:
+        tracemalloc.stop()
+    return transients
+
+
+@pytest.mark.parametrize("side, n, batch_size", [(64, 48, 16), (300, 24, 12)])
+def test_a_steady_state_step_allocates_nothing_chunk_sized(monkeypatch, side, n, batch_size):
+    # side 64: 3 one-chunk steps; side 300: 2 steps in chunks of 5 + 5 + 2.
+    # A step that allocates its own conv output, gate and gradients reads
+    # about 2.0x of its chunk's conv output at both sides; reused buffers
+    # read 0.09x and 0.06x
+    train = Dataset(np.random.default_rng(15).random((n, 1, side, side), dtype=np.float32),
+                    np.arange(n, dtype=np.int64) % 2)
+    cfg = nn.TrainConfig(side=side, epochs=1, batch_size=batch_size)
+    chunk = min(batch_size, nn._chunk_size(nn.init_params(side, 0), train.images, nn.CHUNK_BYTES))
+    conv_bytes = chunk * nn.N_FILTERS * side * side * 4
+    transients = _step_transients(monkeypatch, train, cfg)
+    assert len(transients) == n // batch_size
+    worst = max(transients[1:])
+    assert worst < conv_bytes / 8, f"a step allocated {worst / conv_bytes:.2f}x its conv output"
 
 
 def test_gradient_oracle_holds_with_chunks_on(monkeypatch):
@@ -552,7 +645,8 @@ def test_predict_memory_is_bounded_by_its_chunk_budget_at_desk_side():
 
 def test_fit_memory_is_bounded_at_reference_side():
     # as one unchunked step, these 16 side-300 samples peak at 478 MiB;
-    # in chunks of 5 they peak at 159 MiB with whole-chunk temporaries
+    # in chunks of 5 they peak at 124 MiB: fit's buffers for a 5-sample
+    # chunk (76 MiB) and its two model sets (44 MiB), allocated once
     train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
                     np.arange(16, dtype=np.int64) % 2)
     cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
@@ -570,7 +664,8 @@ def test_fit_memory_is_bounded_at_reference_side():
 def test_lean_training_step_memory_at_reference_side():
     # 16 side-300 samples in chunks of 5, each gathered from the dataset,
     # with blocked dropout draws, an in-place dense gradient and one-sample
-    # patch groups; whole-chunk temporaries peak at 159 MiB
+    # patch groups; whole-chunk temporaries peak at 159 MiB, fresh chunk
+    # buffers at 108 MiB, and one workspace with two model sets at 124 MiB
     train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
                     np.arange(16, dtype=np.int64) % 2)
     cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
