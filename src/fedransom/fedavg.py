@@ -12,7 +12,6 @@ loopback wire federation replays the in-process engine.
 
 from __future__ import annotations
 
-import os
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -24,7 +23,7 @@ from .data import Dataset
 from .errors import (EmptyShard, EmptyUpdateSet, RoundMismatch, ShapeMismatch,
                      TooFewSamples)
 from .metrics import EvalReport, confusion, history_row, precision_recall_f1, with_history
-from .nn import ModelParams, TrainConfig, accuracy, fit, init_params, predict
+from .nn import ModelParams, TrainConfig, _usable_cores, accuracy, fit, init_params, predict
 
 _MIX_CLIENT = 0x9E3779B97F4A7C15
 _MIX_ROUND = 0xC2B2AE3D27D4EB4F
@@ -176,13 +175,6 @@ def evaluate_model(params: ModelParams, dataset: Dataset,
     """Confusion matrix and derived metrics of the model on a dataset."""
     labels, _ = predict(params, dataset.images, threshold)
     return precision_recall_f1(confusion(labels, dataset.labels))
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run_federation(dataset: Dataset, fed_config: FedConfig,

@@ -5,16 +5,23 @@ over the one-channel image, ReLU, inverted dropout (its survivor scale on
 the logits), flatten, a dense projection to two logits, and a softmax. The
 convolution is one im2col matmul whose patches end in a row of ones that
 carries the bias. Training is exact backpropagation with plain mini-batch
-SGD, each fit call in one set of reused buffers. Arithmetic is single
-precision; operations preserve the dtype of their inputs so the whole path
-can also run in float64 (which is how the gradients are cross-checked).
+SGD. fit and predict run a batch's chunks on two lanes, the calling thread
+and one helper thread, each in its own reused buffers; chunks take their
+dropout draws and add their gradients in chunk order, so the lane count
+changes no bit. Arithmetic is single precision; operations preserve the
+dtype of their inputs so the whole path can also run in float64 (which is
+how the gradients are cross-checked).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,15 +33,16 @@ from .imaging import MIN_SIDE
 N_FILTERS = 32
 KERNEL_SIDE = 3
 N_CLASSES = 2
-# one chunk's conv output in fit: 128 samples at side 64, 5 at side 300;
-# at side 300 each chunk streams the 23 MB dense weights twice, so fewer,
-# larger chunks train faster
-CHUNK_BYTES = 64 << 20
+# one chunk's conv output in fit: 64 samples at side 64, 2 at side 300; the
+# two lanes' 2-sample chunks hold less than one 5-sample chunk, and on one
+# thread 2-sample chunks train within about 5% of 5-sample ones
+CHUNK_BYTES = 32 << 20
 # one chunk's conv output in predict: 16 samples at side 64, 1 at side 300;
 # an eval chunk reads the dense weights once, and a small one stays in cache
 PREDICT_CHUNK_BYTES = 8 << 20
 # blocks inside a training chunk: dense-gradient columns and patch groups (of at
-# least one sample) of this many bytes, and dropout draws of 1/32 as many units
+# least one sample) of this many bytes, and dropout draws of 1/32 as many units;
+# predict's patch groups take a quarter, so both lanes stay within its budget
 _BLOCK_BYTES = 4 << 20
 
 
@@ -137,16 +145,138 @@ def _patches(batch: np.ndarray, workspace: Optional[_Workspace] = None) -> np.nd
 
 
 class _Workspace:
-    """fit's buffers for its largest chunk; patches keep the images' dtype, as in _patches."""
+    """One lane's buffers for its largest chunk: the conv output and a patch
+    group, which keeps the images' dtype as in _patches, and to train, the
+    gathered chunk, the gate, dropout's compare block and a dense-gradient
+    column block. order and k are the job and chunk the lane runs."""
 
-    def __init__(self, samples: int, images: np.ndarray, dtype: np.dtype) -> None:
-        side, hw = images.shape[2], images.shape[2] ** 2
-        group = min(samples, max(1, _BLOCK_BYTES // ((KERNEL_SIDE ** 2 + 1) * hw * dtype.itemsize)))
-        self.act = np.empty((samples, N_FILTERS, hw), dtype)  # conv output
-        self.gate = np.empty((samples, N_FILTERS, side, side), dtype=bool)
-        self.padded = np.zeros((group, side + 2, side + 2), images.dtype)
-        self.patches = np.ones((group, KERNEL_SIDE ** 2 + 1, hw), images.dtype)  # the ones row stays
-        self.cols = np.empty((N_CLASSES, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize)), dtype)
+    def __init__(self, samples: int, images: np.ndarray, dtype: np.dtype,
+                 training: bool = True) -> None:
+        h, w = images.shape[2:]
+        group_bytes = _BLOCK_BYTES if training else _BLOCK_BYTES // 4
+        group = min(samples,
+                    max(1, group_bytes // ((KERNEL_SIDE ** 2 + 1) * h * w * dtype.itemsize)))
+        self.act = np.empty((samples, N_FILTERS, h * w), dtype)  # conv output
+        self.padded = np.zeros((group, h + 2, w + 2), images.dtype)
+        self.patches = np.ones((group, KERNEL_SIDE ** 2 + 1, h * w), images.dtype)  # the ones row stays
+        if training:
+            self.chunk = np.empty((samples, *images.shape[1:]), images.dtype)
+            self.gate = np.empty((samples, N_FILTERS, h, w), dtype=bool)
+            self.compare = np.empty(_draw_units(), dtype=bool)
+            self.cols = np.empty((N_CLASSES, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize)), dtype)
+        self.order: Optional[_Order] = None
+        self.k = 0
+
+
+class _Stopped(Exception):
+    """A lane's wait ended because another lane failed."""
+
+
+class _Order:
+    """Chunk order of one job on its lanes: chunk k takes its turn at a
+    resource the chunks share (the generator, a gradient total) once chunk
+    k-1 has taken its own, so every draw and sum runs as on one lane. The
+    first failure ends every wait."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._taken: set[tuple[str, int]] = set()
+        self.failures: dict[int, BaseException] = {}  # by chunk
+
+    @contextmanager
+    def turn(self, resource: str, k: int):
+        with self._cond:
+            while k and (resource, k - 1) not in self._taken:
+                if self.failures:
+                    raise _Stopped
+                self._cond.wait()
+        yield
+        with self._cond:
+            self._taken.add((resource, k))
+            self._cond.notify_all()
+
+    def fail(self, k: int, exc: BaseException) -> None:
+        with self._cond:
+            self.failures[k] = exc
+            self._cond.notify_all()
+
+
+def _turn(workspace: Optional[_Workspace], resource: str):
+    """The current chunk's turn at a shared resource; off the lanes, no wait."""
+    if workspace is None or workspace.order is None:
+        return nullcontext()
+    return workspace.order.turn(resource, workspace.k)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lane_count(chunks: int) -> int:
+    """Lanes for jobs of *chunks* chunks: the calling thread and at most one
+    helper, so that no fit's or predict's buffers grow with the core count."""
+    return max(1, min(2, _usable_cores(), chunks))
+
+
+class _Lanes:
+    """The calling thread and, from the first job of two chunks or more, one
+    helper thread, each lane with its own workspace (None: fresh arrays).
+    The with-block that makes the lanes owns the helper and joins it."""
+
+    def __init__(self, workspaces: tuple[Optional[_Workspace], ...]) -> None:
+        self.workspaces = workspaces
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()  # to the helper; None ends it
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._helper: Optional[threading.Thread] = None
+
+    def __enter__(self) -> "_Lanes":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._helper is not None:
+            self._jobs.put(None)
+            self._helper.join()
+
+    def run(self, chunks: int, work: Callable[[int, Optional[_Workspace]], None]) -> None:
+        """work(k, workspace) for each chunk k < chunks, on lane k % lanes.
+        Once every lane has stopped, raise the first failure in chunk order."""
+        lanes = max(1, min(chunks, len(self.workspaces)))
+        order = _Order()
+        if lanes > 1:
+            if self._helper is None:
+                self._helper = threading.Thread(target=self._serve, name="fedransom-lane",
+                                                daemon=True)
+                self._helper.start()
+            self._jobs.put((order, chunks, work))
+        try:
+            self._lane(0, lanes, order, chunks, work)
+        finally:
+            if lanes > 1:
+                self._done.get()
+        if order.failures:
+            raise order.failures[min(order.failures)]
+
+    def _serve(self) -> None:
+        for job in iter(self._jobs.get, None):
+            self._lane(1, 2, *job)
+            self._done.put(None)
+
+    def _lane(self, lane: int, lanes: int, order: _Order, chunks: int, work) -> None:
+        workspace, k = self.workspaces[lane], lane
+        try:
+            for k in range(lane, chunks, lanes):
+                if order.failures:
+                    return
+                if workspace is not None:
+                    workspace.order, workspace.k = order, k
+                work(k, workspace)
+        except _Stopped:
+            pass
+        except BaseException as exc:  # run raises it on the caller's thread
+            order.fail(k, exc)
 
 
 def _chunk_size(params: ModelParams, batch: np.ndarray, budget: int) -> int:
@@ -196,16 +326,24 @@ def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     return out, keep
 
 
-def _draw_keep(keep: np.ndarray, rate: float, rng: Optional[np.random.Generator]) -> None:
-    """AND dropout's training draw into the boolean *keep* in place."""
+def _draw_units() -> int:
+    """Units per dropout draw: whole 64-bit words of 4 units."""
+    return 4 * max(1, _BLOCK_BYTES // 128)
+
+
+def _draw_keep(keep: np.ndarray, rate: float, rng: Optional[np.random.Generator],
+               compare: Optional[np.ndarray] = None) -> None:
+    """AND dropout's training draw into the boolean *keep* in place, each
+    block's comparison in *compare* if given."""
     if rng is None:
         raise ValueError("training-mode dropout needs a generator")
     flat = keep.reshape(-1)  # a copy if keep is not contiguous
-    units = 4 * max(1, _BLOCK_BYTES // 128)  # whole 64-bit words of 4 units
+    units = _draw_units()
     for start in range(0, flat.size, units):
         block = flat[start : start + units]
         bits = rng.bit_generator.random_raw(math.ceil(block.size / 4)).view("<u2")
-        block &= bits[: block.size] >= round(rate * 2 ** 16)
+        block &= np.greater_equal(bits[: block.size], round(rate * 2 ** 16),
+                                  out=None if compare is None else compare[: block.size])
     if not keep.flags.c_contiguous:
         keep[...] = flat.reshape(keep.shape)
 
@@ -227,15 +365,20 @@ class ForwardTrace:
     probs: np.ndarray        # (n, 2), rows sum to 1
 
 
-def _conv_layer(params: ModelParams, batch: np.ndarray,
-                workspace: Optional[_Workspace] = None) -> np.ndarray:
-    """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
+def _check_batch(params: ModelParams, batch: np.ndarray) -> None:
+    """Raise unless *batch* is an (n, 1, side, side) batch that fits the model."""
     if batch.ndim != 4 or batch.shape[1] != 1:
         raise ShapeMismatch(f"expected (n, 1, side, side) batch, got {batch.shape}")
     if params.dense_weights.shape[1] != N_FILTERS * batch.shape[2] * batch.shape[3]:
         raise ShapeMismatch(
             f"batch side {batch.shape[2]} does not match dense width "
             f"{params.dense_weights.shape[1]}")
+
+
+def _conv_layer(params: ModelParams, batch: np.ndarray,
+                workspace: Optional[_Workspace] = None) -> np.ndarray:
+    """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
+    _check_batch(params, batch)
     return conv2d_same(batch, params.conv_kernels, params.conv_bias, workspace=workspace)
 
 
@@ -249,7 +392,9 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
     act = _conv_layer(params, batch, workspace)
     gate = np.greater(act, 0, out=None if workspace is None else workspace.gate[: len(act)])
     if training and config.dropout_rate > 0.0:
-        _draw_keep(gate, config.dropout_rate, rng)
+        with _turn(workspace, "draw"):
+            _draw_keep(gate, config.dropout_rate, rng,
+                       None if workspace is None else workspace.compare)
     act *= gate
     scale = _survivor_scale(act.dtype, config.dropout_rate, training)
     flat = act.reshape(batch.shape[0], -1)
@@ -289,14 +434,15 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     d_dense = d_logits * trace.scale  # through the survivor scale on the logits
     if into is None:
         into, overwrite = params.astype(d_dense.dtype), True  # new arrays to write over
-    if overwrite:
-        np.matmul(d_dense.T, trace.flat, out=into.dense_weights)
-    else:
-        cols = _BLOCK_BYTES // (N_CLASSES * into.dense_weights.itemsize)
-        for c in range(0, trace.flat.shape[1], cols):
-            block = trace.flat[:, c : c + cols]
-            buf = None if workspace is None else workspace.cols[:, : block.shape[1]]
-            into.dense_weights[:, c : c + cols] += np.matmul(d_dense.T, block, out=buf)
+    with _turn(workspace, "dense"):
+        if overwrite:
+            np.matmul(d_dense.T, trace.flat, out=into.dense_weights)
+        else:
+            cols = _BLOCK_BYTES // (N_CLASSES * into.dense_weights.itemsize)
+            for c in range(0, trace.flat.shape[1], cols):
+                block = trace.flat[:, c : c + cols]
+                buf = None if workspace is None else workspace.cols[:, : block.shape[1]]
+                into.dense_weights[:, c : c + cols] += np.matmul(d_dense.T, block, out=buf)
 
     # the activations are spent: their buffer takes the activation gradient
     d_pre = np.matmul(d_dense, params.dense_weights, out=trace.flat)
@@ -309,16 +455,17 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
         for product in np.matmul(d_pre[s : s + group].reshape(-1, N_FILTERS, hw),
                                  _patches(trace.batch[s : s + group], workspace).transpose(0, 2, 1)):
             d_conv += product  # in sample order, as one sum over the chunk adds
-    for total, g in ((into.conv_kernels, d_conv[:, :-1].reshape(params.conv_kernels.shape)),
-                     (into.conv_bias, d_conv[:, -1]), (into.dense_bias, d_logits.sum(axis=0))):
-        total[...] = g if overwrite else total + g
+    with _turn(workspace, "tail"):
+        for total, g in ((into.conv_kernels, d_conv[:, :-1].reshape(params.conv_kernels.shape)),
+                         (into.conv_bias, d_conv[:, -1]), (into.dense_bias, d_logits.sum(axis=0))):
+            total[...] = g if overwrite else total + g
     return loss, into
 
 
 def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndarray,
                         config: TrainConfig, rng: np.random.Generator,
                         index: Optional[np.ndarray] = None, *, into: Optional[ModelParams] = None,
-                        workspace: Optional[_Workspace] = None) -> tuple[float, ModelParams]:
+                        lanes: Optional[_Lanes] = None) -> tuple[float, ModelParams]:
     """Training-mode loss and mean gradients of one mini-batch.
 
     The mini-batch is *images*, or images[index] gathered chunk by chunk.
@@ -326,17 +473,31 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
     CHUNK_BYTES; later chunks add their exact partial sums to the first's.
     Dropout masks are drawn chunk by chunk in sample order, which gives the
     bits of one whole-batch draw. A batch that fits one chunk runs as one,
-    and the gradients go into new arrays or into *into*'s.
+    and the gradients go into new arrays or into *into*'s. Chunks run on
+    *lanes* (fit's, which give *into*) or on the caller in fresh arrays.
     """
     n = images.shape[0] if index is None else len(index)
     step = _chunk_size(params, images, CHUNK_BYTES)
-    loss, grads = 0.0, into
-    for start in range(0, n, step):
-        part = slice(start, start + step)
-        chunk = images[part] if index is None else images[index[part]]
-        part_loss, grads = loss_and_grad(  # each trace is dropped once its gradients exist
+    parts = [slice(start, start + step) for start in range(0, n, step)]
+    losses, grads = [0.0] * len(parts), into
+
+    def work(k: int, workspace: Optional[_Workspace]) -> None:
+        nonlocal grads  # rebound only by the first chunk of a one-lane call without into
+        part = parts[k]
+        if index is None:
+            chunk = images[part]
+        elif workspace is None:
+            chunk = images[index[part]]
+        else:  # fit's index is a permutation, so "clip" clips nothing; "raise" would buffer
+            chunk = np.take(images, index[part], axis=0, out=workspace.chunk[: len(index[part])],
+                            mode="clip")
+        losses[k], grads = loss_and_grad(  # each trace is dropped once its gradients exist
             forward(params, chunk, config, rng, training=True, workspace=workspace),
-            labels[part], params, batch_size=n, into=grads, overwrite=start == 0, workspace=workspace)
+            labels[part], params, batch_size=n, into=grads, overwrite=k == 0, workspace=workspace)
+
+    (lanes or _Lanes((None,))).run(len(parts), work)
+    loss = 0.0
+    for part_loss in losses:  # in chunk order, as one lane adds them
         loss += part_loss
     return loss, grads
 
@@ -358,21 +519,31 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float, *,
 
 def predict(params: ModelParams, batch: np.ndarray,
             threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode class labels and probabilities.
+    """Eval-mode class labels and probabilities, in the dtype the model
+    computes them in.
 
     A sample is called ransomware (1) when its class-1 probability strictly
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
-    tie resolved to class 0. Chunks of the batch run in turn, each conv
-    output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
+    tie resolved to class 0. Chunks of the batch run on two lanes, each
+    conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
     """
-    chunk = _chunk_size(params, batch, PREDICT_CHUNK_BYTES)
-    probs = np.empty((batch.shape[0], N_CLASSES), dtype=np.float32)
-    for start in range(0, batch.shape[0], chunk):
-        act = _conv_layer(params, batch[start : start + chunk])
+    _check_batch(params, batch)
+    n, step = batch.shape[0], _chunk_size(params, batch, PREDICT_CHUNK_BYTES)
+    dtype = np.result_type(params.dense_weights, batch)
+    probs = np.empty((n, N_CLASSES), dtype)
+
+    def work(k: int, workspace: Optional[_Workspace]) -> None:
+        part = slice(k * step, (k + 1) * step)
+        act = _conv_layer(params, batch[part], workspace)
         relu(act, out=act)
         logits = act.reshape(len(act), -1) @ params.dense_weights.T + params.dense_bias
-        probs[start : start + len(act)] = softmax_output(logits)
-        del act  # so the next chunk's conv output does not overlap this one
+        probs[part] = softmax_output(logits)
+
+    chunks = -(-n // step)
+    workspaces = tuple(_Workspace(min(step, n), batch, dtype, training=False)
+                       for _ in range(_lane_count(chunks)))
+    with _Lanes(workspaces) as lanes:
+        lanes.run(chunks, work)
     labels = (probs[:, 1] > threshold).astype(np.int64)
     return labels, probs
 
@@ -398,8 +569,9 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
     Each mini-batch goes through batch_loss_and_grad, in chunks that bound
-    its memory, in one workspace. Steps write their models over their gradients
-    in two private sets of arrays, never the caller's, which clients may share.
+    its memory, on two lanes with a workspace each. Steps write their models
+    over their gradients in two private sets of arrays, never the caller's,
+    which clients may share.
     Without *score_train* the per-epoch pass over the training set is
     skipped and train_accuracy is None; the weights do not change.
     """
@@ -408,25 +580,29 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     if train.side != config.side:
         raise ShapeMismatch(f"dataset side {train.side} != config side {config.side}")
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
-    chunk = min(config.batch_size, len(train), _chunk_size(params, train.images, CHUNK_BYTES))
-    workspace = _Workspace(chunk, train.images, np.result_type(params.dense_weights, train.images))
+    batch = min(config.batch_size, len(train))
+    chunk = min(batch, _chunk_size(params, train.images, CHUNK_BYTES))
+    dtype = np.result_type(params.dense_weights, train.images)
+    workspaces = tuple(_Workspace(chunk, train.images, dtype)
+                       for _ in range(_lane_count(-(-batch // chunk))))
     pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
     history: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train))
-        losses = []
-        for start in range(0, len(train), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grads = batch_loss_and_grad(params, train.images, labels[idx], config, rng,
-                                              index=idx, into=pair[0], workspace=workspace)
-            if not math.isfinite(loss):
-                raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
-            params, pair = sgd_step(params, grads, config.learning_rate, out=grads), pair[::-1]
-            losses.append(loss)
-        history.append(EpochStats(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            train_accuracy=accuracy(params, train) if score_train else None,
-            val_accuracy=accuracy(params, val) if val is not None and len(val) else None,
-        ))
+    with _Lanes(workspaces) as lanes:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(train))
+            losses = []
+            for start in range(0, len(train), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                loss, grads = batch_loss_and_grad(params, train.images, labels[idx], config, rng,
+                                                  index=idx, into=pair[0], lanes=lanes)
+                if not math.isfinite(loss):
+                    raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
+                params, pair = sgd_step(params, grads, config.learning_rate, out=grads), pair[::-1]
+                losses.append(loss)
+            history.append(EpochStats(
+                epoch=epoch,
+                train_loss=float(np.mean(losses)),
+                train_accuracy=accuracy(params, train) if score_train else None,
+                val_accuracy=accuracy(params, val) if val is not None and len(val) else None,
+            ))
     return params, history

@@ -1,9 +1,24 @@
 """Shared test fixtures: tiny datasets, random params, gradient oracles."""
 
+import threading
+
 import numpy as np
+import pytest
 
 from fedransom import nn
 from fedransom.data import Dataset
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread alive; autouse where a module imports it."""
+    before = set(threading.enumerate())
+    yield
+    new = [t for t in threading.enumerate() if t not in before]
+    for thread in new:
+        thread.join(timeout=1.0)
+    alive = [t.name for t in new if t.is_alive()]
+    assert not alive, f"threads left alive: {alive}"
 
 
 def tiny_dataset(n=24, side=8, seed=0) -> Dataset:

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import constant_params, params_equal, random_params, tiny_dataset
+from helpers import (constant_params, no_thread_outlives_its_test,  # noqa: F401 (autouse)
+                     params_equal, random_params, tiny_dataset)
 
 from fedransom import fedavg, nn
 from fedransom.errors import (EmptyShard, EmptyUpdateSet, FedransomError,

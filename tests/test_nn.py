@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (hinge_safe_bias, make_loss_fn, max_relative_error,
+                     no_thread_outlives_its_test,  # noqa: F401 (autouse)
                      numeric_gradients, params_equal, random_params, tiny_dataset)
 
 from fedransom import nn
@@ -106,7 +110,7 @@ def test_conv_matches_per_pixel_oracle(channels):
 
 @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 8, 8)], ids=["3-channel", "3-d"])
 def test_forward_and_predict_reject_what_the_conv_does_not_take(shape):
-    # the conv takes (n, 1, side, side) only; _conv_layer guards it
+    # the conv takes (n, 1, side, side) only; _check_batch guards it
     params = random_params(side=8, seed=0)
     batch = np.ones(shape, dtype=np.float32)
     with pytest.raises(ShapeMismatch):
@@ -358,15 +362,31 @@ def test_fit_in_chunks_equals_whole_batch_fit(monkeypatch):
     train = Dataset(rng.random((10, 1, side, side)), rng.integers(0, 2, 10))
     cfg = nn.TrainConfig(side=side, epochs=2, batch_size=10, seed=4, learning_rate=0.05)
     params = nn.init_params(side, cfg.seed).astype(np.float64)
+    real_forward, batches = nn.forward, []
+
+    def recorded(params, batch, *args, **kwargs):
+        batches.append(batch.copy())  # a lane gathers its next chunk into the same buffer
+        return real_forward(params, batch, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", recorded)
     whole, whole_history = nn.fit(params, train, cfg, np.random.default_rng(cfg.seed))
+    epoch_batches, batches[:] = list(batches), []
 
     # 3 samples per chunk: each batch of 10 runs as 3 + 3 + 3 + 1
     monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side))
-    traces = []
-    monkeypatch.setattr(nn, "forward", _recording(nn.forward, traces))
     chunked, chunked_history = nn.fit(params, train, cfg, np.random.default_rng(cfg.seed))
 
-    assert [len(t.batch) for t in traces] == [3, 3, 3, 1] * cfg.epochs
+    # two lanes finish chunks out of order: key each chunk by its position in its batch
+    chunks = []
+    for epoch, batch in enumerate(epoch_batches):
+        starts = {}
+        for chunk in batches[4 * epoch : 4 * epoch + 4]:
+            start = next(i for i, sample in enumerate(batch) if np.array_equal(sample, chunk[0]))
+            assert np.array_equal(batch[start : start + len(chunk)], chunk)
+            starts[start] = len(chunk)
+        chunks += sorted(starts.items())
+    assert len(epoch_batches) == cfg.epochs and len(batches) == 4 * cfg.epochs
+    assert chunks == [(0, 3), (3, 3), (6, 3), (9, 1)] * cfg.epochs
     for a, b in zip(chunked.named().values(), whole.named().values()):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     for c, w in zip(chunked_history, whole_history):
@@ -506,6 +526,112 @@ def test_fit_in_its_workspace_equals_the_public_step_bit_for_bit(monkeypatch, dt
                                                float(np.mean(losses[2:]))]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch_size, chunks", [(2, 1), (5, 2), (8, 3), (20, 7)])
+def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_size, chunks):
+    # 23 float32 images in chunks of 3, each step's last chunk short, and a
+    # short final batch; with the accuracy pass, which predicts on the lanes too
+    side = 12
+    train = tiny_dataset(n=23, side=side, seed=38)
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=batch_size, learning_rate=0.05)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    real_forward, runs = nn.forward, {}
+    for lanes in (1, 2):
+        threads = set()
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", recorded)
+        monkeypatch.setattr(nn, "_usable_cores", lambda: lanes)
+        rng = np.random.default_rng(10)
+        fitted, history = nn.fit(nn.init_params(side, 5).astype(dtype), train, cfg, rng)
+        runs[lanes] = fitted, history, rng.bit_generator.state
+        assert len(threads) == min(lanes, chunks)
+    (one, one_history, one_state), (two, two_history, two_state) = runs[1], runs[2]
+    assert all(a.dtype == dtype for a in two.named().values())
+    assert params_equal(two, one)
+    assert two_history == one_history
+    assert two_state == one_state
+
+
+def test_concurrent_fits_on_two_lanes_each_equal_one_lane_fits(monkeypatch):
+    # three fits at once, as a federation's clients train, on two lanes each:
+    # six threads, more than a 2-core machine has, switching every microsecond
+    side = 12
+    train = tiny_dataset(n=23, side=side, seed=42)
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=20, learning_rate=0.05)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 1)
+    want = [nn.fit(nn.init_params(side, s), train, cfg, np.random.default_rng(s))
+            for s in range(3)]
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+    got = [None] * 3
+
+    def client(s):
+        got[s] = nn.fit(nn.init_params(side, s), train, cfg, np.random.default_rng(s))
+
+    threads = [threading.Thread(target=client, args=(s,), daemon=True) for s in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (fitted, history), (want_fitted, want_history) in zip(got, want):
+        assert params_equal(fitted, want_fitted)
+        assert history == want_history
+
+
+class ChunkFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failures", [{1: ChunkFailed}, {2: ChunkFailed}, {2: KeyboardInterrupt},
+                                      {1: ChunkFailed, 2: KeyboardInterrupt}],
+                         ids=["chunk-1", "chunk-2", "interrupt-chunk-2", "chunks-1-and-2"])
+def test_the_first_failing_chunk_in_order_is_the_error_fit_raises(monkeypatch, failures):
+    # one step of 4 chunks of 3 on two lanes: the caller takes chunks 0 and 2,
+    # the helper 1 and 3; the chunk after a failed one waits for its turn
+    side = 12
+    train = tiny_dataset(n=12, side=side, seed=39)
+    cfg = nn.TrainConfig(side=side, epochs=1, batch_size=12)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+    order = np.random.default_rng(0).permutation(12)  # fit's first draw from the generator
+    real_loss_and_grad = nn.loss_and_grad
+
+    def failing(trace, *args, **kwargs):
+        for k, error in failures.items():
+            if np.array_equal(trace.batch[0], train.images[order[3 * k]]):
+                raise error(k)
+        return real_loss_and_grad(trace, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grad", failing)
+    raised = []
+
+    def caller():
+        try:
+            nn.fit(nn.init_params(side, 0), train, cfg, np.random.default_rng(0), score_train=False)
+        except BaseException as exc:  # KeyboardInterrupt too, on this thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=caller, daemon=True)  # a hung fit must not block exit
+    began = time.monotonic()
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "fit hung after a failed chunk"
+    assert time.monotonic() - began < 1.0
+    first = min(failures)
+    assert len(raised) == 1 and type(raised[0]) is failures[first] and raised[0].args == (first,)
+    assert not [t.name for t in threading.enumerate() if t.name == "fedransom-lane"]
+
+
 def _step_transients(monkeypatch, train, cfg):
     """One fit epoch; for each SGD step, the traced peak during the step less
     the memory live when it began."""
@@ -531,10 +657,11 @@ def _step_transients(monkeypatch, train, cfg):
 
 @pytest.mark.parametrize("side, n, batch_size", [(64, 48, 16), (300, 24, 12)])
 def test_a_steady_state_step_allocates_nothing_chunk_sized(monkeypatch, side, n, batch_size):
-    # side 64: 3 one-chunk steps; side 300: 2 steps in chunks of 5 + 5 + 2.
-    # A step that allocates its own conv output, gate and gradients reads
-    # about 2.0x of its chunk's conv output at both sides; reused buffers
-    # read 0.09x and 0.06x
+    # side 64: 3 one-chunk steps; side 300: 2 steps of 6 two-sample chunks
+    # on two lanes, whose transients both count. A step that allocates its
+    # own conv output, gate and gradients read about 2.0x of its chunk's conv
+    # output at both sides (in chunks of 5 at side 300); reused buffers
+    # read 0.06x and 0.03x
     train = Dataset(np.random.default_rng(15).random((n, 1, side, side), dtype=np.float32),
                     np.arange(n, dtype=np.int64) % 2)
     cfg = nn.TrainConfig(side=side, epochs=1, batch_size=batch_size)
@@ -618,19 +745,54 @@ def test_chunked_predict_equals_whole_batch_predict(monkeypatch):
     for name, samples in (("whole", 10), ("chunked", 3)):
         monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(samples, side))
         calls = []
-        monkeypatch.setattr(nn, "_conv_layer", _recording(real_conv_layer, calls))
-        results[name] = nn.predict(params, batch)
-        chunks[name] = [len(act) for act in calls]
 
-    assert chunks == {"whole": [10], "chunked": [3, 3, 3, 1]}
+        def recorded(params, chunk, *args, **kwargs):
+            # two lanes finish chunks out of order: key each by its first sample's position
+            calls.append(((chunk.ctypes.data - batch.ctypes.data) // batch.strides[0], len(chunk)))
+            return real_conv_layer(params, chunk, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "_conv_layer", recorded)
+        results[name] = nn.predict(params, batch)
+        chunks[name] = sorted(calls)
+
+    assert chunks == {"whole": [(0, 10)], "chunked": [(0, 3), (3, 3), (6, 3), (9, 1)]}
     (whole_labels, whole_probs), (labels, probs) = results["whole"], results["chunked"]
     assert np.array_equal(labels, whole_labels)
     assert np.abs(probs - whole_probs).max() <= 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype):
+    side = 12
+    batch = np.random.default_rng(40).random((10, 1, side, side)).astype(dtype)
+    params = random_params(side=side, seed=9, dtype=dtype)
+    monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(3, side))  # 3 + 3 + 3 + 1
+    results = {}
+    for lanes in (1, 2):
+        monkeypatch.setattr(nn, "_usable_cores", lambda: lanes)
+        results[lanes] = nn.predict(params, batch)
+    (one_labels, one_probs), (two_labels, two_probs) = results[1], results[2]
+    assert two_probs.dtype == dtype
+    assert np.array_equal(two_labels, one_labels)
+    assert two_probs.tobytes() == one_probs.tobytes()
+
+
+def test_predict_returns_probabilities_in_the_models_dtype():
+    side = 8
+    batch = np.random.default_rng(41).random((5, 1, side, side))
+    params = random_params(side=side, seed=10, dtype=np.float64)
+    _, probs = nn.predict(params, batch)
+    want = nn.forward(params, batch, nn.TrainConfig(side=side)).probs  # float64 throughout
+    assert probs.dtype == np.float64
+    assert np.abs(probs - want).max() < 1e-12  # float32 probabilities miss by about 1e-8
+    _, probs32 = nn.predict(params.astype(np.float32), batch.astype(np.float32))
+    assert probs32.dtype == np.float32
+
+
 def test_predict_memory_is_bounded_by_its_chunk_budget_at_desk_side():
-    # 480 side-64 samples: 16 per chunk hold an 8 MiB conv output; one
-    # fit-sized chunk of 128 samples would hold 64 MiB
+    # 480 side-64 samples: 16 per chunk hold an 8 MiB conv output, one on
+    # each of two lanes, which peak at 18.1 MiB; one fit-sized chunk of 64
+    # samples would hold 32 MiB
     params = nn.init_params(64, 0)
     batch = np.zeros((480, 1, 64, 64), dtype=np.float32)
     tracemalloc.start()
@@ -645,8 +807,9 @@ def test_predict_memory_is_bounded_by_its_chunk_budget_at_desk_side():
 
 def test_fit_memory_is_bounded_at_reference_side():
     # as one unchunked step, these 16 side-300 samples peak at 478 MiB;
-    # in chunks of 5 they peak at 124 MiB: fit's buffers for a 5-sample
-    # chunk (76 MiB) and its two model sets (44 MiB), allocated once
+    # in chunks of 2 on two lanes they peak at 117 MiB: each lane's buffers
+    # for a 2-sample chunk (36 MiB) and fit's two model sets (44 MiB),
+    # allocated once
     train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
                     np.arange(16, dtype=np.int64) % 2)
     cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
@@ -662,10 +825,11 @@ def test_fit_memory_is_bounded_at_reference_side():
 
 
 def test_lean_training_step_memory_at_reference_side():
-    # 16 side-300 samples in chunks of 5, each gathered from the dataset,
-    # with blocked dropout draws, an in-place dense gradient and one-sample
-    # patch groups; whole-chunk temporaries peak at 159 MiB, fresh chunk
-    # buffers at 108 MiB, and one workspace with two model sets at 124 MiB
+    # 16 side-300 samples in chunks of 2 on two lanes, each gathered from
+    # the dataset, with blocked dropout draws, an in-place dense gradient
+    # and one-sample patch groups; in chunks of 5 on one lane, whole-chunk
+    # temporaries peaked at 159 MiB and fresh chunk buffers at 108 MiB; two
+    # lanes' workspaces with two model sets peak at 117 MiB
     train = Dataset(np.zeros((16, 1, 300, 300), dtype=np.float32),
                     np.arange(16, dtype=np.int64) % 2)
     cfg = nn.TrainConfig(side=300, epochs=1, batch_size=16)
