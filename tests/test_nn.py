@@ -805,6 +805,26 @@ def test_predict_memory_is_bounded_by_its_chunk_budget_at_desk_side():
     assert peak <= 2.5 * nn.PREDICT_CHUNK_BYTES, f"predict peaked at {peak / 2 ** 20:.1f} MiB"
 
 
+def test_fit_and_predict_memory_does_not_grow_with_the_core_count(monkeypatch):
+    # 5 chunks per step and 3 predict chunks per pass: two lanes whatever the cores
+    side = 64
+    train = Dataset(np.zeros((40, 1, side, side), dtype=np.float32),
+                    np.arange(40, dtype=np.int64) % 2)
+    cfg = nn.TrainConfig(side=side, epochs=1, batch_size=40)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(8, side, itemsize=4))
+    params = nn.init_params(side, 0)
+    peaks = {}
+    for cores in (2, 64):
+        monkeypatch.setattr(nn, "_usable_cores", lambda: cores)
+        tracemalloc.start()
+        try:
+            nn.fit(params, train, cfg, np.random.default_rng(0))
+            _, peaks[cores] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] < 1.1 * peaks[2], f"{peaks[64] / peaks[2]:.2f}x the 2-core peak"
+
+
 def test_fit_memory_is_bounded_at_reference_side():
     # as one unchunked step, these 16 side-300 samples peak at 478 MiB;
     # in chunks of 2 on two lanes they peak at 117 MiB: each lane's buffers
