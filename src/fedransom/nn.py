@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -146,12 +146,14 @@ def _patches(batch: np.ndarray, workspace: Optional[_Workspace] = None) -> np.nd
 
 class _Workspace:
     """One lane's buffers for its largest chunk: the conv output and a patch
-    group, which keeps the images' dtype as in _patches, and to train, the
-    gathered chunk, the gate, dropout's compare block and a dense-gradient
-    column block. order and k are the job and chunk the lane runs."""
+    group, which keeps the images' dtype as in _patches; to train, the gate
+    and a dense-gradient column block; for steps of more than one chunk
+    (*gather*), the gathered chunk and dropout's compare block, which a
+    one-chunk step allocates afresh. order and k are the job and chunk the
+    lane runs."""
 
     def __init__(self, samples: int, images: np.ndarray, dtype: np.dtype,
-                 training: bool = True) -> None:
+                 training: bool = True, gather: bool = False) -> None:
         h, w = images.shape[2:]
         group_bytes = _BLOCK_BYTES if training else _BLOCK_BYTES // 4
         group = min(samples,
@@ -159,10 +161,13 @@ class _Workspace:
         self.act = np.empty((samples, N_FILTERS, h * w), dtype)  # conv output
         self.padded = np.zeros((group, h + 2, w + 2), images.dtype)
         self.patches = np.ones((group, KERNEL_SIDE ** 2 + 1, h * w), images.dtype)  # the ones row stays
-        if training:
+        self.chunk: Optional[np.ndarray] = None
+        self.compare: Optional[np.ndarray] = None
+        if gather:
             self.chunk = np.empty((samples, *images.shape[1:]), images.dtype)
-            self.gate = np.empty((samples, N_FILTERS, h, w), dtype=bool)
             self.compare = np.empty(_draw_units(), dtype=bool)
+        if training:
+            self.gate = np.empty((samples, N_FILTERS, h, w), dtype=bool)
             self.cols = np.empty((N_CLASSES, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize)), dtype)
         self.order: Optional[_Order] = None
         self.k = 0
@@ -215,54 +220,54 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+_share = threading.local()  # .cores: a pool thread's share of the usable cores
+
+
+def _share_cores(cores: int) -> None:
+    """Run the calling thread's fits and predicts on *cores* cores: the
+    initializer of a pool whose threads train side by side."""
+    _share.cores = cores
+
+
 def _lane_count(chunks: int) -> int:
-    """Lanes for jobs of *chunks* chunks: the calling thread and at most one
-    helper, so that no fit's or predict's buffers grow with the core count."""
-    return max(1, min(2, _usable_cores(), chunks))
+    """Lanes for jobs of *chunks* chunks on the thread's share of the cores:
+    the calling thread and at most one helper, so that no fit's or
+    predict's buffers grow with the core count."""
+    return max(1, min(2, getattr(_share, "cores", None) or _usable_cores(), chunks))
 
 
 class _Lanes:
-    """The calling thread and, from the first job of two chunks or more, one
-    helper thread, each lane with its own workspace (None: fresh arrays).
-    The with-block that makes the lanes owns the helper and joins it."""
+    """The calling thread and, from the first job of two chunks or more, a
+    one-thread executor, each lane with its own workspace (None: fresh
+    arrays). The with-block that makes the lanes shuts the helper down."""
 
     def __init__(self, workspaces: tuple[Optional[_Workspace], ...]) -> None:
         self.workspaces = workspaces
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()  # to the helper; None ends it
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._helper: Optional[threading.Thread] = None
+        self._helper: Optional[ThreadPoolExecutor] = None
 
     def __enter__(self) -> "_Lanes":
         return self
 
     def __exit__(self, *exc_info) -> None:
         if self._helper is not None:
-            self._jobs.put(None)
-            self._helper.join()
+            self._helper.shutdown(wait=True)
 
     def run(self, chunks: int, work: Callable[[int, Optional[_Workspace]], None]) -> None:
         """work(k, workspace) for each chunk k < chunks, on lane k % lanes.
         Once every lane has stopped, raise the first failure in chunk order."""
         lanes = max(1, min(chunks, len(self.workspaces)))
-        order = _Order()
+        order, helper = _Order(), None
         if lanes > 1:
             if self._helper is None:
-                self._helper = threading.Thread(target=self._serve, name="fedransom-lane",
-                                                daemon=True)
-                self._helper.start()
-            self._jobs.put((order, chunks, work))
+                self._helper = ThreadPoolExecutor(1, thread_name_prefix="fedransom-lane")
+            helper = self._helper.submit(self._lane, 1, 2, order, chunks, work)
         try:
             self._lane(0, lanes, order, chunks, work)
         finally:
-            if lanes > 1:
-                self._done.get()
+            if helper is not None:
+                helper.result()
         if order.failures:
             raise order.failures[min(order.failures)]
-
-    def _serve(self) -> None:
-        for job in iter(self._jobs.get, None):
-            self._lane(1, 2, *job)
-            self._done.put(None)
 
     def _lane(self, lane: int, lanes: int, order: _Order, chunks: int, work) -> None:
         workspace, k = self.workspaces[lane], lane
@@ -486,7 +491,7 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
         part = parts[k]
         if index is None:
             chunk = images[part]
-        elif workspace is None:
+        elif workspace is None or workspace.chunk is None:
             chunk = images[index[part]]
         else:  # fit's index is a permutation, so "clip" clips nothing; "raise" would buffer
             chunk = np.take(images, index[part], axis=0, out=workspace.chunk[: len(index[part])],
@@ -583,8 +588,9 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     batch = min(config.batch_size, len(train))
     chunk = min(batch, _chunk_size(params, train.images, CHUNK_BYTES))
     dtype = np.result_type(params.dense_weights, train.images)
-    workspaces = tuple(_Workspace(chunk, train.images, dtype)
-                       for _ in range(_lane_count(-(-batch // chunk))))
+    chunks = -(-batch // chunk)
+    workspaces = tuple(_Workspace(chunk, train.images, dtype, gather=chunks > 1)
+                       for _ in range(_lane_count(chunks)))
     pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
     history: list[EpochStats] = []
     with _Lanes(workspaces) as lanes:

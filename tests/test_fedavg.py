@@ -300,6 +300,32 @@ def test_concurrent_clients_give_the_sequential_bits(n_clients, seed):
     assert params_equal(pooled, _sequential_federation(ds, fed, train_cfg))
 
 
+@pytest.mark.parametrize("cores, lanes", [(2, 1), (8, 2)])
+def test_each_pooled_client_trains_on_its_share_of_the_cores(monkeypatch, cores, lanes):
+    # 3 clients, steps of 2 chunks: on 2 cores, 2 client threads of one lane
+    # each; on 8 cores, 3 client threads of two lanes; the round reports,
+    # on the caller, take every core
+    ds = tiny_dataset(n=24, side=8, seed=21)
+    fed = FedConfig(n_clients=3, n_rounds=2, local_epochs=1, batch_size=4, seed=6)
+    train_cfg = nn.TrainConfig(side=8, seed=6)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", 2 * nn.N_FILTERS * 8 * 8 * 4)
+    monkeypatch.setattr(fedavg, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(nn, "_usable_cores", lambda: cores)
+    real_lane_count, fits, reports = nn._lane_count, set(), set()
+
+    def recorded(chunks):
+        count = real_lane_count(chunks)
+        on_caller = threading.current_thread() is threading.main_thread()
+        (reports if on_caller else fits).add(real_lane_count(2))
+        return count
+
+    monkeypatch.setattr(nn, "_lane_count", recorded)
+    fed_params, _ = run_federation(ds, fed, train_cfg)
+    assert fits == {lanes}
+    assert reports == {2}
+    assert params_equal(fed_params, _sequential_federation(ds, fed, train_cfg))
+
+
 class ClientCrashed(FedransomError):
     pass
 

@@ -557,7 +557,7 @@ def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_
 
 
 def test_concurrent_fits_on_two_lanes_each_equal_one_lane_fits(monkeypatch):
-    # three fits at once, as a federation's clients train, on two lanes each:
+    # three fits at once, as loopback wire clients train, on two lanes each:
     # six threads, more than a 2-core machine has, switching every microsecond
     side = 12
     train = tiny_dataset(n=23, side=side, seed=42)
@@ -629,7 +629,7 @@ def test_the_first_failing_chunk_in_order_is_the_error_fit_raises(monkeypatch, f
     assert time.monotonic() - began < 1.0
     first = min(failures)
     assert len(raised) == 1 and type(raised[0]) is failures[first] and raised[0].args == (first,)
-    assert not [t.name for t in threading.enumerate() if t.name == "fedransom-lane"]
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("fedransom-lane")]
 
 
 def _step_transients(monkeypatch, train, cfg):
