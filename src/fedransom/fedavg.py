@@ -23,8 +23,8 @@ from .data import Dataset
 from .errors import (EmptyShard, EmptyUpdateSet, RoundMismatch, ShapeMismatch,
                      TooFewSamples)
 from .metrics import EvalReport, confusion, history_row, precision_recall_f1, with_history
-from .nn import (ModelParams, TrainConfig, _usable_cores, accuracy, fit, init_params, predict,
-                 _share_cores)
+from .nn import (ModelParams, TrainConfig, _on_cores, _usable_cores, accuracy, fit,
+                 init_params, predict)
 
 _MIX_CLIENT = 0x9E3779B97F4A7C15
 _MIX_ROUND = 0xC2B2AE3D27D4EB4F
@@ -185,11 +185,12 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     """Broadcast, train locally on every client, aggregate; one report per round.
 
     A round's clients train at the same time in a pool of min(K, usable
-    cores) threads, and each thread's fits run on its share of the cores:
-    on two cores, two clients train on one lane each. numpy releases the
-    GIL in the matmuls and ufuncs that do the work. The first failing
-    client, in shard order, raises once every client of the round has
-    finished.
+    cores) threads, which takes them in waves of that many, and each
+    client's fit runs on its wave's share of the cores: on two cores,
+    three clients train on one lane each, then the third on two. numpy
+    releases the GIL in the matmuls and ufuncs that do the work. The first
+    failing client, in shard order, raises once every client of the round
+    has finished.
 
     The global model is seeded from train_config.seed; the shard layout from
     fed_config.seed. Reports are computed on val_set when given, otherwise
@@ -201,12 +202,22 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     shards = partition(dataset, fed_config.n_clients, fed_config.seed)
     cores = _usable_cores()
     workers = min(len(shards), cores)
-    with ThreadPoolExecutor(workers, initializer=_share_cores,
-                            initargs=(cores // workers,)) as pool:
+    # client k trains in wave k // workers, beside the wave's other clients
+    shares = [cores // min(workers, len(shards) - k // workers * workers)
+              for k in range(len(shards))]
+    with ThreadPoolExecutor(workers) as pool:
         return run_rounds(
             init_params(train_config.side, train_config.seed), fed_config.n_rounds,
-            lambda params, r: [pool.submit(local_train, params, s, local_cfg, r) for s in shards],
+            lambda params, r: [pool.submit(_client_on_cores, share, local_train,
+                                           params, s, local_cfg, r)
+                               for share, s in zip(shares, shards)],
             dataset, val_set)
+
+
+def _client_on_cores(cores: int, train: Callable[..., ClientUpdate], *args) -> ClientUpdate:
+    """train(*args) with the pool thread's fits on *cores* cores."""
+    with _on_cores(cores):
+        return train(*args)
 
 
 def run_rounds(global_params: ModelParams, n_rounds: int,

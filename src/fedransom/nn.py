@@ -220,13 +220,18 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-_share = threading.local()  # .cores: a pool thread's share of the usable cores
+_share = threading.local()  # .cores: the calling thread's share of the usable cores
 
 
-def _share_cores(cores: int) -> None:
-    """Run the calling thread's fits and predicts on *cores* cores: the
-    initializer of a pool whose threads train side by side."""
-    _share.cores = cores
+@contextmanager
+def _on_cores(cores: int):
+    """Run the calling thread's fits and predicts on *cores* cores in the
+    block, as a pool's threads do that train side by side."""
+    outer, _share.cores = getattr(_share, "cores", None), cores
+    try:
+        yield
+    finally:
+        _share.cores = outer
 
 
 def _lane_count(chunks: int) -> int:

@@ -300,29 +300,27 @@ def test_concurrent_clients_give_the_sequential_bits(n_clients, seed):
     assert params_equal(pooled, _sequential_federation(ds, fed, train_cfg))
 
 
-@pytest.mark.parametrize("cores, lanes", [(2, 1), (8, 2)])
-def test_each_pooled_client_trains_on_its_share_of_the_cores(monkeypatch, cores, lanes):
-    # 3 clients, steps of 2 chunks: on 2 cores, 2 client threads of one lane
-    # each; on 8 cores, 3 client threads of two lanes; the round reports,
-    # on the caller, take every core
+@pytest.mark.parametrize("cores, lanes", [(2, [1, 1, 2]), (8, [2, 2, 2])])
+def test_each_pooled_client_trains_on_its_waves_share_of_the_cores(monkeypatch, cores, lanes):
+    # 3 clients in steps of 2 chunks: on 2 cores the pool trains clients 0
+    # and 1 on one lane each, then client 2 on two; on 8 cores all three at
+    # once on two lanes each. The caller's share stays every core
     ds = tiny_dataset(n=24, side=8, seed=21)
     fed = FedConfig(n_clients=3, n_rounds=2, local_epochs=1, batch_size=4, seed=6)
     train_cfg = nn.TrainConfig(side=8, seed=6)
     monkeypatch.setattr(nn, "CHUNK_BYTES", 2 * nn.N_FILTERS * 8 * 8 * 4)
     monkeypatch.setattr(fedavg, "_usable_cores", lambda: cores)
     monkeypatch.setattr(nn, "_usable_cores", lambda: cores)
-    real_lane_count, fits, reports = nn._lane_count, set(), set()
+    real_local_train, seen = fedavg.local_train, {}
 
-    def recorded(chunks):
-        count = real_lane_count(chunks)
-        on_caller = threading.current_thread() is threading.main_thread()
-        (reports if on_caller else fits).add(real_lane_count(2))
-        return count
+    def recorded(global_params, shard, config, round_index=0):
+        seen.setdefault(shard.client_id, set()).add(nn._lane_count(2))
+        return real_local_train(global_params, shard, config, round_index)
 
-    monkeypatch.setattr(nn, "_lane_count", recorded)
+    monkeypatch.setattr(fedavg, "local_train", recorded)
     fed_params, _ = run_federation(ds, fed, train_cfg)
-    assert fits == {lanes}
-    assert reports == {2}
+    assert [seen[f"client-{k}"] for k in range(3)] == [{n} for n in lanes]
+    assert nn._lane_count(2) == 2
     assert params_equal(fed_params, _sequential_federation(ds, fed, train_cfg))
 
 
