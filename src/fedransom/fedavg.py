@@ -23,7 +23,7 @@ from .data import Dataset
 from .errors import (EmptyShard, EmptyUpdateSet, RoundMismatch, ShapeMismatch,
                      TooFewSamples)
 from .metrics import EvalReport, confusion, history_row, precision_recall_f1, with_history
-from .nn import (ModelParams, TrainConfig, _on_cores, _usable_cores, accuracy, fit,
+from .nn import (ModelParams, TrainConfig, _share_cores, _usable_cores, accuracy, fit,
                  init_params, predict)
 
 _MIX_CLIENT = 0x9E3779B97F4A7C15
@@ -216,8 +216,8 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
 
 def _client_on_cores(cores: int, train: Callable[..., ClientUpdate], *args) -> ClientUpdate:
     """train(*args) with the pool thread's fits on *cores* cores."""
-    with _on_cores(cores):
-        return train(*args)
+    _share_cores(cores)
+    return train(*args)
 
 
 def run_rounds(global_params: ModelParams, n_rounds: int,

@@ -6,9 +6,10 @@ the logits), flatten, a dense projection to two logits, and a softmax. The
 convolution is one im2col matmul whose patches end in a row of ones that
 carries the bias. Training is exact backpropagation with plain mini-batch
 SGD. fit and predict run a batch's chunks on two lanes, the calling thread
-and one helper thread, each in its own reused buffers; chunks take their
-dropout draws and add their gradients in chunk order, so the lane count
-changes no bit. Arithmetic is single precision; operations preserve the
+and one helper thread, each in its own reused buffers, where the calling
+thread's share of the cores is two or more; chunks take their dropout
+draws and add their gradients in chunk order, so the lane count changes
+no bit. Arithmetic is single precision; operations preserve the
 dtype of their inputs so the whole path can also run in float64 (which is
 how the gradients are cross-checked).
 """
@@ -223,15 +224,10 @@ def _usable_cores() -> int:
 _share = threading.local()  # .cores: the calling thread's share of the usable cores
 
 
-@contextmanager
-def _on_cores(cores: int):
-    """Run the calling thread's fits and predicts on *cores* cores in the
-    block, as a pool's threads do that train side by side."""
-    outer, _share.cores = getattr(_share, "cores", None), cores
-    try:
-        yield
-    finally:
-        _share.cores = outer
+def _share_cores(cores: int) -> None:
+    """Run the calling thread's fits and predicts from now on *cores* cores,
+    as the threads of a pool do that train side by side."""
+    _share.cores = cores
 
 
 def _lane_count(chunks: int) -> int:

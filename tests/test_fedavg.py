@@ -300,7 +300,8 @@ def test_concurrent_clients_give_the_sequential_bits(n_clients, seed):
     assert params_equal(pooled, _sequential_federation(ds, fed, train_cfg))
 
 
-@pytest.mark.parametrize("cores, lanes", [(2, [1, 1, 2]), (8, [2, 2, 2])])
+@pytest.mark.parametrize("cores, lanes", [(2, [1, 1, 2]), (8, [2, 2, 2])],
+                         ids=["2-cores", "8-cores"])
 def test_each_pooled_client_trains_on_its_waves_share_of_the_cores(monkeypatch, cores, lanes):
     # 3 clients in steps of 2 chunks: on 2 cores the pool trains clients 0
     # and 1 on one lane each, then client 2 on two; on 8 cores all three at
