@@ -208,16 +208,15 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     with ThreadPoolExecutor(workers) as pool:
         return run_rounds(
             init_params(train_config.side, train_config.seed), fed_config.n_rounds,
-            lambda params, r: [pool.submit(_client_on_cores, share, local_train,
-                                           params, s, local_cfg, r)
+            lambda params, r: [pool.submit(_client_on_cores, share, params, s, local_cfg, r)
                                for share, s in zip(shares, shards)],
             dataset, val_set)
 
 
-def _client_on_cores(cores: int, train: Callable[..., ClientUpdate], *args) -> ClientUpdate:
-    """train(*args) with the pool thread's fits on *cores* cores."""
+def _client_on_cores(cores: int, *args) -> ClientUpdate:
+    """local_train(*args) with the pool thread's fits on *cores* cores."""
     _share_cores(cores)
-    return train(*args)
+    return local_train(*args)
 
 
 def run_rounds(global_params: ModelParams, n_rounds: int,

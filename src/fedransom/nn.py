@@ -225,8 +225,9 @@ _share = threading.local()  # .cores: the calling thread's share of the usable c
 
 
 def _share_cores(cores: int) -> None:
-    """Run the calling thread's fits and predicts from now on *cores* cores,
-    as the threads of a pool do that train side by side."""
+    """From now on, run the calling thread's fits and predicts on *cores*
+    cores: its share, where it is one of a pool's threads that train side
+    by side."""
     _share.cores = cores
 
 
