@@ -222,7 +222,8 @@ def load_dataset(manifest: Manifest, side: int) -> Dataset:
 
     Only the first side*side bytes of a file are read: the image uses no more.
     A file whose size differs from its entry's raises CorruptManifest; the
-    sha256 is not checked, as that would read every byte.
+    sha256 is not checked, as that would read every byte. An empty manifest
+    gives an empty dataset.
     """
     images = []
     for e in manifest.entries:
@@ -232,6 +233,8 @@ def load_dataset(manifest: Manifest, side: int) -> Dataset:
             if size != e.size:
                 raise CorruptManifest(f"{file} is {size} bytes, its manifest entry says {e.size}")
             images.append(bytes_to_image(fh.read(side * side), side))
+    if not images:  # from_images takes the side from its first image
+        return Dataset(np.empty((0, 1, side, side), np.float32), np.empty(0, np.int64))
     return from_images(images, [e.label for e in manifest.entries])
 
 

@@ -5,13 +5,16 @@ over the one-channel image, ReLU, inverted dropout (its survivor scale on
 the logits), flatten, a dense projection to two logits, and a softmax. The
 convolution is one im2col matmul whose patches end in a row of ones that
 carries the bias. Training is exact backpropagation with plain mini-batch
-SGD. fit and predict run a batch's chunks on two lanes, the calling thread
-and one helper thread, each in its own reused buffers, where the calling
-thread's share of the cores is two or more; chunks take their dropout
-draws and add their gradients in chunk order, so the lane count changes
-no bit. Arithmetic is single precision; operations preserve the
-dtype of their inputs so the whole path can also run in float64 (which is
-how the gradients are cross-checked).
+SGD. Each layer has one code path, which runs in a workspace of reused
+buffers; a public call made without one (conv2d_same, forward,
+batch_loss_and_grad) builds a workspace for that call alone. fit and
+predict run a batch's chunks on two lanes, the calling thread and one
+helper thread, each in its own workspace, where the calling thread's
+share of the cores is two or more; chunks take their dropout draws and
+add their gradients in chunk order, so the lane count changes no bit.
+Arithmetic is single precision; operations preserve the dtype of their
+inputs so the whole path can also run in float64 (which is how the
+gradients are cross-checked).
 """
 
 from __future__ import annotations
@@ -114,11 +117,6 @@ def init_params(side: int, seed: int, dtype=np.float32) -> ModelParams:
     )
 
 
-def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Elementwise max(0, x); pass out=x to work in place."""
-    return np.maximum(x, 0, out=out)
-
-
 def softmax_output(h: np.ndarray) -> np.ndarray:
     """Normalized exponentials along the last axis, max-shifted for stability."""
     shifted = h - h.max(axis=-1, keepdims=True)
@@ -126,18 +124,14 @@ def softmax_output(h: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _patches(batch: np.ndarray, workspace: Optional[_Workspace] = None) -> np.ndarray:
-    """im2col of an (n, 1, h, w) batch, (n, 10, h*w): nine rows of zero-padded
-    3x3 neighbourhoods ordered (row tap, column tap) like a flattened kernel,
-    then a row of ones that the bias multiplies; in a workspace's buffers if given."""
+def _patches(batch: np.ndarray, workspace: _Workspace) -> np.ndarray:
+    """im2col of an (n, 1, h, w) batch, (n, 10, h*w), in the workspace's patch
+    group: nine rows of zero-padded 3x3 neighbourhoods ordered (row tap,
+    column tap) like a flattened kernel, then a row of ones that the bias
+    multiplies."""
     n, _, h, w = batch.shape
-    if workspace is None:
-        padded = np.pad(batch[:, 0], ((0, 0), (1, 1), (1, 1)))
-        patches = np.empty((n, KERNEL_SIDE ** 2 + 1, h * w), dtype=batch.dtype)
-        patches[:, -1] = 1
-    else:  # the border stays zero
-        padded, patches = workspace.padded[:n], workspace.patches[:n]
-        padded[:, 1:-1, 1:-1] = batch[:, 0]
+    padded, patches = workspace.padded[:n], workspace.patches[:n]
+    padded[:, 1:-1, 1:-1] = batch[:, 0]  # the border stays zero
     windows = sliding_window_view(padded, (KERNEL_SIDE, KERNEL_SIDE), axis=(1, 2))
     # a view: the nine tap rows split into (row tap, column tap, h, w)
     taps = patches[:, :-1].reshape(n, KERNEL_SIDE, KERNEL_SIDE, h, w)
@@ -146,20 +140,20 @@ def _patches(batch: np.ndarray, workspace: Optional[_Workspace] = None) -> np.nd
 
 
 class _Workspace:
-    """One lane's buffers for its largest chunk: the conv output and a patch
-    group, which keeps the images' dtype as in _patches; to train, the gate
-    and a dense-gradient column block; for steps of more than one chunk
-    (*gather*), the gathered chunk and dropout's compare block, which a
-    one-chunk step allocates afresh. order and k are the job and chunk the
-    lane runs."""
+    """One lane's buffers for its largest chunk: the conv output (shaped by
+    the *kernels*) and a patch group; to train, the gate and a dense-gradient
+    column block; for steps of more than one chunk (*gather*), the gathered
+    chunk and dropout's compare block, which a one-chunk step allocates
+    afresh. order and k are the job and chunk the lane runs."""
 
-    def __init__(self, samples: int, images: np.ndarray, dtype: np.dtype,
+    def __init__(self, samples: int, images: np.ndarray, kernels: np.ndarray,
                  training: bool = True, gather: bool = False) -> None:
         h, w = images.shape[2:]
+        dtype = np.result_type(kernels, images)
         group_bytes = _BLOCK_BYTES if training else _BLOCK_BYTES // 4
-        group = min(samples,
-                    max(1, group_bytes // ((KERNEL_SIDE ** 2 + 1) * h * w * dtype.itemsize)))
-        self.act = np.empty((samples, N_FILTERS, h * w), dtype)  # conv output
+        group = max(1, min(samples,
+                           group_bytes // ((KERNEL_SIDE ** 2 + 1) * h * w * dtype.itemsize)))
+        self.act = np.empty((samples, len(kernels), h * w), dtype)  # conv output
         self.padded = np.zeros((group, h + 2, w + 2), images.dtype)
         self.patches = np.ones((group, KERNEL_SIDE ** 2 + 1, h * w), images.dtype)  # the ones row stays
         self.chunk: Optional[np.ndarray] = None
@@ -168,10 +162,15 @@ class _Workspace:
             self.chunk = np.empty((samples, *images.shape[1:]), images.dtype)
             self.compare = np.empty(_draw_units(), dtype=bool)
         if training:
-            self.gate = np.empty((samples, N_FILTERS, h, w), dtype=bool)
-            self.cols = np.empty((N_CLASSES, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize)), dtype)
+            self.gate = np.empty((samples, len(kernels), h, w), dtype=bool)
+            width = min(self.act[0].size, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize))
+            self.cols = np.empty((N_CLASSES, width), dtype)
         self.order: Optional[_Order] = None
         self.k = 0
+
+    def turn(self, resource: str):
+        """The current chunk's turn at a shared resource; off the lanes, no wait."""
+        return nullcontext() if self.order is None else self.order.turn(resource, self.k)
 
 
 class _Stopped(Exception):
@@ -207,13 +206,6 @@ class _Order:
             self._cond.notify_all()
 
 
-def _turn(workspace: Optional[_Workspace], resource: str):
-    """The current chunk's turn at a shared resource; off the lanes, no wait."""
-    if workspace is None or workspace.order is None:
-        return nullcontext()
-    return workspace.order.turn(resource, workspace.k)
-
-
 def _usable_cores() -> int:
     """Cores this process may run on: its affinity set where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -240,10 +232,10 @@ def _lane_count(chunks: int) -> int:
 
 class _Lanes:
     """The calling thread and, from the first job of two chunks or more, a
-    one-thread executor, each lane with its own workspace (None: fresh
-    arrays). The with-block that makes the lanes shuts the helper down."""
+    one-thread executor, each lane with its own workspace. The with-block
+    that makes the lanes shuts the helper down."""
 
-    def __init__(self, workspaces: tuple[Optional[_Workspace], ...]) -> None:
+    def __init__(self, workspaces: tuple[_Workspace, ...]) -> None:
         self.workspaces = workspaces
         self._helper: Optional[ThreadPoolExecutor] = None
 
@@ -254,7 +246,7 @@ class _Lanes:
         if self._helper is not None:
             self._helper.shutdown(wait=True)
 
-    def run(self, chunks: int, work: Callable[[int, Optional[_Workspace]], None]) -> None:
+    def run(self, chunks: int, work: Callable[[int, _Workspace], None]) -> None:
         """work(k, workspace) for each chunk k < chunks, on lane k % lanes.
         Once every lane has stopped, raise the first failure in chunk order."""
         lanes = max(1, min(chunks, len(self.workspaces)))
@@ -277,8 +269,7 @@ class _Lanes:
             for k in range(lane, chunks, lanes):
                 if order.failures:
                     return
-                if workspace is not None:
-                    workspace.order, workspace.k = order, k
+                workspace.order, workspace.k = order, k
                 work(k, workspace)
         except _Stopped:
             pass
@@ -298,12 +289,12 @@ def conv2d_same(batch: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
                 workspace: Optional[_Workspace] = None) -> np.ndarray:
     """Stride-1 cross-correlation of an (n, 1, h, w) batch with (f, 1, 3, 3)
     kernels and a one-pixel zero border; the (n, f, h, w) output keeps the
-    spatial size. One matmul: the bias is the kernel matrix's last column,
-    against the patches' ones row, one patch group at a time in a workspace."""
+    spatial size, in the workspace's conv output. One matmul per patch group:
+    the bias is the kernel matrix's last column, against the patches' ones row."""
     n, _, h, w = batch.shape
+    if workspace is None:  # a public call: buffers for this call alone
+        workspace = _Workspace(n, batch, kernels, training=False)
     weights = np.concatenate((kernels.reshape(len(kernels), -1), bias[:, None]), axis=1)
-    if workspace is None:
-        return np.matmul(weights, _patches(batch)).reshape(n, len(kernels), h, w)
     for s in range(0, n, len(workspace.patches)):
         part = workspace.act[s : min(n, s + len(workspace.patches))]
         np.matmul(weights, _patches(batch[s : s + len(part)], workspace), out=part)
@@ -311,12 +302,10 @@ def conv2d_same(batch: np.ndarray, kernels: np.ndarray, bias: np.ndarray, *,
 
 
 def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
-            training: bool, gate: Optional[np.ndarray] = None,
-            out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+            training: bool) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: returns (x * keep / (1 - rate), keep), keep a boolean
-    mask. A given *gate*, such as ReLU's x > 0, is ANDed into keep in place;
-    pass out=x to scale and mask in place. Without a gate, in eval mode or
-    at rate 0, the output equals the input. forward scales its logits instead.
+    mask. In eval mode or at rate 0, the output equals the input. forward
+    draws its keep mask into its ReLU gate and scales its logits instead.
 
     Each unit costs 16 random bits: it is kept when its draw is at least
     round(rate * 2**16), so it drops with probability round(rate * 2**16) / 2**16
@@ -325,10 +314,10 @@ def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     the bits of one draw over all of them; keep is drawn so, in blocks."""
     if not 0.0 <= rate < 1.0:
         raise InvalidRate(f"dropout rate must lie in [0, 1), got {rate}")
-    keep = np.ones(x.shape, dtype=bool) if gate is None else gate
+    keep = np.ones(x.shape, dtype=bool)
     if training and rate > 0.0:
         _draw_keep(keep, rate, rng)
-    out = np.multiply(x, _survivor_scale(x.dtype, rate, training), out=out)
+    out = np.multiply(x, _survivor_scale(x.dtype, rate, training))
     out *= keep
     return out, keep
 
@@ -340,19 +329,17 @@ def _draw_units() -> int:
 
 def _draw_keep(keep: np.ndarray, rate: float, rng: Optional[np.random.Generator],
                compare: Optional[np.ndarray] = None) -> None:
-    """AND dropout's training draw into the boolean *keep* in place, each
-    block's comparison in *compare* if given."""
+    """AND dropout's training draw into the contiguous boolean *keep* in
+    place, each block's comparison in *compare* if given."""
     if rng is None:
         raise ValueError("training-mode dropout needs a generator")
-    flat = keep.reshape(-1)  # a copy if keep is not contiguous
+    flat = keep.reshape(-1)  # a view, as keep is contiguous
     units = _draw_units()
     for start in range(0, flat.size, units):
         block = flat[start : start + units]
         bits = rng.bit_generator.random_raw(math.ceil(block.size / 4)).view("<u2")
         block &= np.greater_equal(bits[: block.size], round(rate * 2 ** 16),
                                   out=None if compare is None else compare[: block.size])
-    if not keep.flags.c_contiguous:
-        keep[...] = flat.reshape(keep.shape)
 
 
 def _survivor_scale(dtype: np.dtype, rate: float, training: bool):
@@ -361,7 +348,7 @@ def _survivor_scale(dtype: np.dtype, rate: float, training: bool):
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Every intermediate the backward pass needs."""
+    """Every intermediate the backward pass needs, in its workspace."""
 
     batch: np.ndarray        # (n, 1, side, side)
     gate: np.ndarray         # bool, conv pre-activation > 0 and kept by dropout
@@ -370,6 +357,7 @@ class ForwardTrace:
                              # loss_and_grad overwrites them with their gradient
     logits: np.ndarray       # (n, 2)
     probs: np.ndarray        # (n, 2), rows sum to 1
+    workspace: _Workspace
 
 
 def _check_batch(params: ModelParams, batch: np.ndarray) -> None:
@@ -382,8 +370,7 @@ def _check_batch(params: ModelParams, batch: np.ndarray) -> None:
             f"{params.dense_weights.shape[1]}")
 
 
-def _conv_layer(params: ModelParams, batch: np.ndarray,
-                workspace: Optional[_Workspace] = None) -> np.ndarray:
+def _conv_layer(params: ModelParams, batch: np.ndarray, workspace: _Workspace) -> np.ndarray:
     """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
     _check_batch(params, batch)
     return conv2d_same(batch, params.conv_kernels, params.conv_bias, workspace=workspace)
@@ -395,24 +382,25 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
     """Run the full stack: conv, ReLU, dropout, flatten, dense, softmax.
     ReLU and dropout share one boolean gate that masks the conv output in its
     buffer, which the trace keeps as its flat activations; the dropout scale
-    multiplies the logits. A workspace holds the conv output and the gate."""
-    act = _conv_layer(params, batch, workspace)
-    gate = np.greater(act, 0, out=None if workspace is None else workspace.gate[: len(act)])
+    multiplies the logits. The workspace holds the conv output and the gate."""
+    _check_batch(params, batch)
+    if workspace is None:  # a public call: buffers for this call alone
+        workspace = _Workspace(len(batch), batch, params.conv_kernels)
+    act = conv2d_same(batch, params.conv_kernels, params.conv_bias, workspace=workspace)
+    gate = np.greater(act, 0, out=workspace.gate[: len(act)])
     if training and config.dropout_rate > 0.0:
-        with _turn(workspace, "draw"):
-            _draw_keep(gate, config.dropout_rate, rng,
-                       None if workspace is None else workspace.compare)
+        with workspace.turn("draw"):
+            _draw_keep(gate, config.dropout_rate, rng, workspace.compare)
     act *= gate
     scale = _survivor_scale(act.dtype, config.dropout_rate, training)
     flat = act.reshape(batch.shape[0], -1)
     logits = (flat @ params.dense_weights.T) * scale + params.dense_bias
-    return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits))
+    return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits), workspace)
 
 
 def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
                   batch_size: Optional[int] = None, into: Optional[ModelParams] = None,
-                  overwrite: bool = False, *,
-                  workspace: Optional[_Workspace] = None) -> tuple[float, ModelParams]:
+                  overwrite: bool = False) -> tuple[float, ModelParams]:
     """Cross-entropy and its exact gradients, summed over the traced samples
     and divided by *batch_size* (default: the number of traced samples, so
     the mean). With the size of a whole mini-batch, the results for its
@@ -422,8 +410,8 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     logits via log-sum-exp so confident mistakes stay finite. Gradients
     flow through the dense layer, the stored ReLU-and-dropout gate, and
     the convolution into new arrays, or into *into*'s: added in place, or
-    written over them with *overwrite*. The conv gradient rebuilds patches
-    for groups of samples within _BLOCK_BYTES.
+    written over them with *overwrite*, in the buffers and turns of the
+    trace's workspace.
 
     This consumes the trace: the activation gradient is written over
     trace.flat, so the activations are gone once this returns.
@@ -441,15 +429,16 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     d_dense = d_logits * trace.scale  # through the survivor scale on the logits
     if into is None:
         into, overwrite = params.astype(d_dense.dtype), True  # new arrays to write over
-    with _turn(workspace, "dense"):
+    workspace = trace.workspace
+    with workspace.turn("dense"):
         if overwrite:
             np.matmul(d_dense.T, trace.flat, out=into.dense_weights)
         else:
-            cols = _BLOCK_BYTES // (N_CLASSES * into.dense_weights.itemsize)
+            cols = workspace.cols.shape[1]
             for c in range(0, trace.flat.shape[1], cols):
                 block = trace.flat[:, c : c + cols]
-                buf = None if workspace is None else workspace.cols[:, : block.shape[1]]
-                into.dense_weights[:, c : c + cols] += np.matmul(d_dense.T, block, out=buf)
+                into.dense_weights[:, c : c + cols] += np.matmul(
+                    d_dense.T, block, out=workspace.cols[:, : block.shape[1]])
 
     # the activations are spent: their buffer takes the activation gradient
     d_pre = np.matmul(d_dense, params.dense_weights, out=trace.flat)
@@ -457,12 +446,12 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     # (32, 10): dK in the first nine columns, the bias gradient in the last
     hw = d_pre.shape[1] // N_FILTERS
     d_conv = np.zeros((N_FILTERS, KERNEL_SIDE ** 2 + 1), dtype=d_pre.dtype)
-    group = max(1, _BLOCK_BYTES // (d_conv.shape[1] * hw * d_pre.itemsize))
+    group = len(workspace.patches)
     for s in range(0, n, group):
         for product in np.matmul(d_pre[s : s + group].reshape(-1, N_FILTERS, hw),
                                  _patches(trace.batch[s : s + group], workspace).transpose(0, 2, 1)):
             d_conv += product  # in sample order, as one sum over the chunk adds
-    with _turn(workspace, "tail"):
+    with workspace.turn("tail"):
         for total, g in ((into.conv_kernels, d_conv[:, :-1].reshape(params.conv_kernels.shape)),
                          (into.conv_bias, d_conv[:, -1]), (into.dense_bias, d_logits.sum(axis=0))):
             total[...] = g if overwrite else total + g
@@ -479,34 +468,37 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
     It runs in chunks of consecutive samples, each conv output within
     CHUNK_BYTES; later chunks add their exact partial sums to the first's.
     Dropout masks are drawn chunk by chunk in sample order, which gives the
-    bits of one whole-batch draw. A batch that fits one chunk runs as one,
-    and the gradients go into new arrays or into *into*'s. Chunks run on
-    *lanes* (fit's, which give *into*) or on the caller in fresh arrays.
+    bits of one whole-batch draw. A batch that fits one chunk runs as one.
+    The gradients go into *into*'s arrays or new ones. Chunks run on *lanes*
+    (fit's) or, in a public call, on the caller.
     """
     n = images.shape[0] if index is None else len(index)
     step = _chunk_size(params, images, CHUNK_BYTES)
     parts = [slice(start, start + step) for start in range(0, n, step)]
-    losses, grads = [0.0] * len(parts), into
+    losses = [0.0] * len(parts)
+    if lanes is None:  # a public call: buffers for this call alone
+        lanes = _Lanes((_Workspace(min(step, n), images, params.conv_kernels),))
+    if into is None:  # the first chunk writes over it
+        into = params.astype(np.result_type(params.dense_weights, images))
 
-    def work(k: int, workspace: Optional[_Workspace]) -> None:
-        nonlocal grads  # rebound only by the first chunk of a one-lane call without into
+    def work(k: int, workspace: _Workspace) -> None:
         part = parts[k]
         if index is None:
             chunk = images[part]
-        elif workspace is None or workspace.chunk is None:
+        elif workspace.chunk is None:
             chunk = images[index[part]]
         else:  # fit's index is a permutation, so "clip" clips nothing; "raise" would buffer
             chunk = np.take(images, index[part], axis=0, out=workspace.chunk[: len(index[part])],
                             mode="clip")
-        losses[k], grads = loss_and_grad(  # each trace is dropped once its gradients exist
+        losses[k], _ = loss_and_grad(  # each trace is dropped once its gradients exist
             forward(params, chunk, config, rng, training=True, workspace=workspace),
-            labels[part], params, batch_size=n, into=grads, overwrite=k == 0, workspace=workspace)
+            labels[part], params, batch_size=n, into=into, overwrite=k == 0)
 
-    (lanes or _Lanes((None,))).run(len(parts), work)
+    lanes.run(len(parts), work)
     loss = 0.0
     for part_loss in losses:  # in chunk order, as one lane adds them
         loss += part_loss
-    return loss, grads
+    return loss, into
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float, *,
@@ -539,15 +531,15 @@ def predict(params: ModelParams, batch: np.ndarray,
     dtype = np.result_type(params.dense_weights, batch)
     probs = np.empty((n, N_CLASSES), dtype)
 
-    def work(k: int, workspace: Optional[_Workspace]) -> None:
+    def work(k: int, workspace: _Workspace) -> None:
         part = slice(k * step, (k + 1) * step)
         act = _conv_layer(params, batch[part], workspace)
-        relu(act, out=act)
+        np.maximum(act, 0, out=act)  # ReLU
         logits = act.reshape(len(act), -1) @ params.dense_weights.T + params.dense_bias
         probs[part] = softmax_output(logits)
 
     chunks = -(-n // step)
-    workspaces = tuple(_Workspace(min(step, n), batch, dtype, training=False)
+    workspaces = tuple(_Workspace(min(step, n), batch, params.conv_kernels, training=False)
                        for _ in range(_lane_count(chunks)))
     with _Lanes(workspaces) as lanes:
         lanes.run(chunks, work)
@@ -589,9 +581,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
     batch = min(config.batch_size, len(train))
     chunk = min(batch, _chunk_size(params, train.images, CHUNK_BYTES))
-    dtype = np.result_type(params.dense_weights, train.images)
     chunks = -(-batch // chunk)
-    workspaces = tuple(_Workspace(chunk, train.images, dtype, gather=chunks > 1)
+    workspaces = tuple(_Workspace(chunk, train.images, params.conv_kernels, gather=chunks > 1)
                        for _ in range(_lane_count(chunks)))
     pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
     history: list[EpochStats] = []

@@ -205,6 +205,20 @@ def test_single_client_fedtrain_matches_train(small_corpus, tmp_path):
     assert central.read_bytes() == federated.read_bytes()
 
 
+@pytest.mark.parametrize("command, error", [
+    ("train", "cannot fit on an empty dataset"),
+    ("fedtrain", "0 samples cannot cover 3 clients"),
+])
+def test_training_on_an_empty_manifest_exits_one_with_one_error_line(tmp_path, capsys,
+                                                                     command, error):
+    (tmp_path / "empty.jsonl").write_text("")
+    rc = run_cli(command, "--manifest", str(tmp_path / "empty.jsonl"), "--side", "16",
+                 "--checkpoint-out", str(tmp_path / "never.frwm"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"fedransom: error: {error}\n"
+    assert not (tmp_path / "never.frwm").exists()
+
+
 def test_predict_missing_file_exits_one(small_corpus, tmp_path, capsys):
     ckpt = tmp_path / "ck.frwm"
     run_cli("train", "--manifest", str(small_corpus / "manifest.train.jsonl"),

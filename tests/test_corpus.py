@@ -183,6 +183,14 @@ def test_load_dataset_preserves_order_and_labels(tmp_path):
     assert ds.labels.tolist() == manifest.labels().tolist()
 
 
+def test_load_dataset_of_an_empty_manifest_is_an_empty_dataset(tmp_path):
+    (tmp_path / "manifest.jsonl").write_text("\n")
+    ds = corpus.load_dataset(read_manifest(tmp_path / "manifest.jsonl"), side=16)
+    assert len(ds) == 0 and ds.side == 16
+    assert ds.images.shape == (0, 1, 16, 16) and ds.images.dtype == np.float32
+    assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
+
+
 def test_load_dataset_images_long_and_short_files_as_whole_reads(tmp_path):
     side = 16
     blobs = {"long.bin": np.random.default_rng(5).bytes(3 * side * side + 7),

@@ -15,23 +15,6 @@ from fedransom.data import Dataset, one_hot
 from fedransom.errors import EmptyDataset, InvalidRate, ShapeMismatch
 
 
-def test_relu_by_cases():
-    out = nn.relu(np.array([-1.0, 0.0, 2.5], dtype=np.float32))
-    assert out.tolist() == [0.0, 0.0, 2.5]
-
-
-def test_relu_all_negative_and_all_nonnegative():
-    assert (nn.relu(np.full((3, 3), -2.0)) == 0.0).all()
-    x = np.array([[0.0, 1.0], [3.5, 0.25]])
-    assert (nn.relu(x) == x).all()
-
-
-def test_relu_is_idempotent():
-    x = np.random.default_rng(0).standard_normal((4, 5))
-    once = nn.relu(x)
-    assert (nn.relu(once) == once).all()
-
-
 def test_softmax_symmetry():
     assert nn.softmax_output(np.zeros(2, dtype=np.float32)).tolist() == [0.5, 0.5]
 
@@ -167,19 +150,29 @@ def test_dropout_in_blocks_draws_the_bits_of_one_draw(monkeypatch):
     assert rng.bit_generator.state == state
 
 
-def test_dropout_ands_a_non_contiguous_gate_in_place(monkeypatch):
-    monkeypatch.setattr(nn, "_BLOCK_BYTES", 40)
-    x = np.ones((9, 12), dtype=np.float64)
-    base = np.random.default_rng(22).random((12, 18)) > 0.3
-    gate = base.T[::2]  # (9, 12), neither C- nor F-contiguous
-    before = gate.copy()
-    expected, state = _one_draw_keep(x.shape, 0.25, 23)
-    rng = np.random.default_rng(23)
-    out, keep = nn.dropout(x, 0.25, rng, training=True, gate=gate)
-    assert keep is gate
-    assert np.array_equal(gate, before & expected)
-    assert np.array_equal(out, np.where(gate, x / 0.75, 0.0))
-    assert rng.bit_generator.state == state
+def test_public_forward_calls_share_no_buffers():
+    # each public call builds its own workspace: a later call changes
+    # nothing that an earlier trace holds
+    side = 12
+    params = random_params(side=side, seed=11, dtype=np.float64)
+    batches = np.random.default_rng(43).random((2, 4, 1, side, side))
+    labels = one_hot(np.array([0, 1, 1, 0])).astype(np.float64)
+    cfg = nn.TrainConfig(side=side, dropout_rate=0.25)
+
+    def traced(b):
+        return nn.forward(params, batches[b], cfg, np.random.default_rng(b), training=True)
+
+    want = [nn.loss_and_grad(traced(b), labels, params) for b in (0, 1)]
+    first = traced(0)
+    flat, gate = first.flat.copy(), first.gate.copy()
+    second = traced(1)
+    buffers = [[a for a in vars(trace.workspace).values() if isinstance(a, np.ndarray)]
+               + [trace.gate, trace.flat, trace.logits, trace.probs] for trace in (first, second)]
+    assert not any(np.shares_memory(a, b) for a in buffers[0] for b in buffers[1])
+    assert np.array_equal(first.flat, flat) and np.array_equal(first.gate, gate)
+    for trace, (want_loss, want_grads) in zip((first, second), want):
+        loss, grads = nn.loss_and_grad(trace, labels, params)
+        assert loss == want_loss and params_equal(grads, want_grads)
 
 
 def test_zero_params_predict_half_half():
@@ -348,10 +341,10 @@ def _chunk_bytes(samples, side, itemsize=8):
     return samples * nn.N_FILTERS * side * side * itemsize
 
 
-def _recording(func, calls):
+def _recording_gates(func, gates):
     def wrapped(*args, **kwargs):
         out = func(*args, **kwargs)
-        calls.append(out)
+        gates.append(out.gate.copy())  # the next chunk reuses the gate's buffer
         return out
     return wrapped
 
@@ -408,11 +401,10 @@ def test_chunked_dropout_masks_equal_one_whole_batch_draw(monkeypatch):
     masks, states = {}, {}
     for name, samples in (("whole", 10), ("chunked", 3)):
         monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(samples, side))
-        calls = []
-        monkeypatch.setattr(nn, "forward", _recording(real_forward, calls))
+        masks[name] = []
+        monkeypatch.setattr(nn, "forward", _recording_gates(real_forward, masks[name]))
         draw = np.random.default_rng(77)
         nn.batch_loss_and_grad(params, images, labels, cfg, draw)
-        masks[name] = [trace.gate for trace in calls]
         states[name] = draw.bit_generator.state
 
     assert len(masks["whole"]) == 1 and len(masks["chunked"]) == 4
@@ -630,6 +622,33 @@ def test_the_first_failing_chunk_in_order_is_the_error_fit_raises(monkeypatch, f
     first = min(failures)
     assert len(raised) == 1 and type(raised[0]) is failures[first] and raised[0].args == (first,)
     assert not [t.name for t in threading.enumerate() if t.name.startswith("fedransom-lane")]
+
+
+def test_fit_and_predict_call_the_timed_layers_through_the_module(monkeypatch):
+    # a traced bench run times these layers by rebinding their module names:
+    # 2 epochs of 2 steps, each 3 + 3 samples; then 4 predict chunks of 3
+    side = 12
+    train = tiny_dataset(n=12, side=side, seed=44)
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=6)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    calls = []  # list.append is atomic, as the two lanes call at once
+
+    def counting(name, func):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapped
+
+    for name in ("conv2d_same", "forward", "loss_and_grad", "sgd_step"):
+        monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
+    params, _ = nn.fit(nn.init_params(side, 0), train, cfg, np.random.default_rng(0),
+                       score_train=False)
+    assert sorted(calls) == ["conv2d_same"] * 8 + ["forward"] * 8 + ["loss_and_grad"] * 8 \
+        + ["sgd_step"] * 4
+    calls.clear()
+    nn.predict(params, train.images)
+    assert calls == ["conv2d_same"] * 4
 
 
 def _step_transients(monkeypatch, train, cfg):
