@@ -205,7 +205,8 @@ def cmd_train(args, parser) -> int:
     params = nn.init_params(train_cfg.side, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     params, history = nn.fit(params, dataset, train_cfg, rng, val)
-    report = fedavg.evaluate_model(params, val if val is not None else dataset)
+    # a set with no samples is false: it counts as not given, as in round_report
+    report = fedavg.evaluate_model(params, val or dataset)
     rows = [metrics.history_row(h.epoch, h.train_accuracy, h.val_accuracy)
             for h in history]
     return _finish(args, [metrics.with_history(report, rows)], params)

@@ -12,6 +12,9 @@ predict run a batch's chunks on two lanes, the calling thread and one
 helper thread, each in its own workspace, where the calling thread's
 share of the cores is two or more; chunks take their dropout draws and
 add their gradients in chunk order, so the lane count changes no bit.
+The dense layer picks each product's kernel by its shape: one gemv per sample
+for the logits (so they do not depend on the chunk) and the activation gradient,
+an outer product for one sample's weight gradient, 256 KiB steps to add one.
 Arithmetic is single precision; operations preserve the dtype of their
 inputs so the whole path can also run in float64 (which is how the
 gradients are cross-checked).
@@ -370,6 +373,15 @@ def _check_batch(params: ModelParams, batch: np.ndarray) -> None:
             f"{params.dense_weights.shape[1]}")
 
 
+def _logits(flat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """flat @ weights.T without the scale and bias, one gemv per sample: for a 2-sample
+    side-300 chunk OpenBLAS's GEMM took 7-9 ms, two gemvs 3-5 ms (one BLAS thread)."""
+    logits = np.empty((len(flat), len(weights)), np.result_type(flat, weights))
+    for row, sample in zip(logits, flat):
+        np.matmul(weights, sample, out=row)
+    return logits
+
+
 def _conv_layer(params: ModelParams, batch: np.ndarray, workspace: _Workspace) -> np.ndarray:
     """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
     _check_batch(params, batch)
@@ -394,7 +406,7 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
     act *= gate
     scale = _survivor_scale(act.dtype, config.dropout_rate, training)
     flat = act.reshape(batch.shape[0], -1)
-    logits = (flat @ params.dense_weights.T) * scale + params.dense_bias
+    logits = _logits(flat, params.dense_weights) * scale + params.dense_bias
     return ForwardTrace(batch, gate, scale, flat, logits, softmax_output(logits), workspace)
 
 
@@ -430,18 +442,26 @@ def loss_and_grad(trace: ForwardTrace, labels: np.ndarray, params: ModelParams,
     if into is None:
         into, overwrite = params.astype(d_dense.dtype), True  # new arrays to write over
     workspace = trace.workspace
+    # one sample's weight gradient is an outer product: as a (2, 1) @ (1, F) GEMM it
+    # took 9.4-15.7 ms at side 300, as a broadcast multiply 2-4 ms, with the same bits
+    product = np.multiply if n == 1 else np.matmul
     with workspace.turn("dense"):
         if overwrite:
-            np.matmul(d_dense.T, trace.flat, out=into.dense_weights)
+            product(d_dense.T, trace.flat, out=into.dense_weights)
         else:
-            cols = workspace.cols.shape[1]
+            # 256 KiB steps inside the column block: a 2-sample side-300 chunk added
+            # its gradient so in 5.4 ms, in 4 MiB blocks in 8.5 ms, with the same bits
+            cols = min(workspace.cols.shape[1], (256 << 10) // (N_CLASSES * workspace.cols.itemsize))
             for c in range(0, trace.flat.shape[1], cols):
                 block = trace.flat[:, c : c + cols]
-                into.dense_weights[:, c : c + cols] += np.matmul(
+                into.dense_weights[:, c : c + cols] += product(
                     d_dense.T, block, out=workspace.cols[:, : block.shape[1]])
 
-    # the activations are spent: their buffer takes the activation gradient
-    d_pre = np.matmul(d_dense, params.dense_weights, out=trace.flat)
+    # the activations are spent: their buffer takes the activation gradient, one gemv
+    # per sample (16-sample desk chunk: 1.3 ms, one GEMM 2.4 ms; same bits at 1-16 samples)
+    for g, row in zip(d_dense, trace.flat):
+        np.matmul(g, params.dense_weights, out=row)
+    d_pre = trace.flat
     d_pre *= trace.gate.reshape(n, -1)
     # (32, 10): dK in the first nine columns, the bias gradient in the last
     hw = d_pre.shape[1] // N_FILTERS
@@ -535,7 +555,7 @@ def predict(params: ModelParams, batch: np.ndarray,
         part = slice(k * step, (k + 1) * step)
         act = _conv_layer(params, batch[part], workspace)
         np.maximum(act, 0, out=act)  # ReLU
-        logits = act.reshape(len(act), -1) @ params.dense_weights.T + params.dense_bias
+        logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
         probs[part] = softmax_output(logits)
 
     chunks = -(-n // step)

@@ -219,6 +219,18 @@ def test_training_on_an_empty_manifest_exits_one_with_one_error_line(tmp_path, c
     assert not (tmp_path / "never.frwm").exists()
 
 
+def test_train_with_an_empty_val_manifest_reports_on_the_training_set(small_corpus, tmp_path):
+    (tmp_path / "empty.jsonl").write_text("")
+    args = ["train", "--manifest", str(small_corpus / "manifest.train.jsonl"), "--side", "16",
+            "--epochs", "1", "--batch", "4", "--seed", "2"]
+    for name, extra in (("none", []), ("empty", ["--val-manifest", str(tmp_path / "empty.jsonl")])):
+        assert run_cli(*args, *extra, "--checkpoint-out", str(tmp_path / f"{name}.frwm"),
+                       "--report-out", str(tmp_path / f"{name}.json")) == 0
+    train = corpus.read_manifest(small_corpus / "manifest.train.jsonl")
+    assert metrics.parse_report(tmp_path / "empty.json").confusion.total == len(train.entries)
+    assert (tmp_path / "empty.json").read_bytes() == (tmp_path / "none.json").read_bytes()
+
+
 def test_predict_missing_file_exits_one(small_corpus, tmp_path, capsys):
     ckpt = tmp_path / "ck.frwm"
     run_cli("train", "--manifest", str(small_corpus / "manifest.train.jsonl"),

@@ -754,6 +754,27 @@ def test_predict_memory_is_bounded_at_reference_side():
     assert peak < 128 * 2 ** 20, f"predict peaked at {peak / 2 ** 20:.0f} MiB"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_samples_logits_do_not_depend_on_its_chunk(monkeypatch, dtype):
+    # the dense layer runs one gemv per sample, so the chunk that holds a sample
+    # changes no bit of its logits, in predict's chunks or in forward's batch
+    side = 12
+    params = random_params(side=side, seed=6, dtype=dtype)
+    batch = np.random.default_rng(34).random((10, 1, side, side)).astype(dtype)
+    probs = []
+    for samples in (1, 3, 10):
+        monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES",
+                            _chunk_bytes(samples, side, itemsize=np.dtype(dtype).itemsize))
+        probs.append(nn.predict(params, batch)[1].tobytes())
+    assert probs[0] == probs[1] == probs[2]
+
+    cfg = nn.TrainConfig(side=side)
+    together = nn.forward(params, batch, cfg)
+    alone = [nn.forward(params, sample[None], cfg) for sample in batch]
+    assert together.logits.tobytes() == b"".join(t.logits.tobytes() for t in alone)
+    assert together.probs.tobytes() == b"".join(t.probs.tobytes() for t in alone)
+
+
 def test_chunked_predict_equals_whole_batch_predict(monkeypatch):
     side = 12
     rng = np.random.default_rng(33)
