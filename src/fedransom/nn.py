@@ -382,12 +382,6 @@ def _logits(flat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _conv_layer(params: ModelParams, batch: np.ndarray, workspace: _Workspace) -> np.ndarray:
-    """Conv pre-activation of an (n, 1, side, side) batch that fits the model."""
-    _check_batch(params, batch)
-    return conv2d_same(batch, params.conv_kernels, params.conv_bias, workspace=workspace)
-
-
 def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
             rng: Optional[np.random.Generator] = None, training: bool = False, *,
             workspace: Optional[_Workspace] = None) -> ForwardTrace:
@@ -553,7 +547,8 @@ def predict(params: ModelParams, batch: np.ndarray,
 
     def work(k: int, workspace: _Workspace) -> None:
         part = slice(k * step, (k + 1) * step)
-        act = _conv_layer(params, batch[part], workspace)
+        act = conv2d_same(batch[part], params.conv_kernels, params.conv_bias,
+                          workspace=workspace)
         np.maximum(act, 0, out=act)  # ReLU
         logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
         probs[part] = softmax_output(logits)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import socket
@@ -11,7 +12,7 @@ import pytest
 from helpers import params_equal
 
 from fedransom import checkpoint, corpus, metrics, nn
-from fedransom.cli import main
+from fedransom.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -358,3 +359,115 @@ def test_eval_on_a_corrupt_manifest_exits_one_without_a_traceback(tmp_path, line
     assert done.returncode == 1
     assert done.stderr.startswith("fedransom: error:")
     assert "Traceback" not in done.stderr
+
+
+def test_each_subcommand_keeps_its_options():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: sorted(s for a in sub._actions for s in a.option_strings or [a.dest])
+           for name, sub in subs.choices.items()}
+    common = ["--config", "--help", "--preset", "--seed", "-h"]
+    training = ["--batch", "--dropout", "--lr", "--side"]
+    fed = ["--clients", "--local-epochs", "--rounds"]
+    outputs = ["--checkpoint-out", "--report-out"]
+    expected = {
+        "synth": ["--max-size", "--min-size", "--n-per-class", "--out"],
+        "train": ["--epochs", "--manifest", "--val-manifest", *outputs, *training],
+        "fedtrain": ["--manifest", "--val-manifest", *fed, *outputs, *training],
+        "serve": ["--accept-timeout", "--bind", "--idle-timeout", "--train-manifest",
+                  "--val-manifest", *fed, *outputs, *training],
+        "client": ["--client-id", "--connect", "--idle-timeout", "--local-epochs",
+                   "--manifest", *training],
+        "eval": ["--checkpoint", "--manifest", "--report-out", "--threshold"],
+        "predict": ["--checkpoint", "--threshold", "files"],
+    }
+    assert got == {name: sorted(options + common) for name, options in expected.items()}
+
+
+def test_a_fed_setting_resolves_flag_then_config_then_preset_then_builtin(small_corpus, tmp_path):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text("[fed]\nrounds = 2\n")
+    levels = {"builtin": ([], 30), "preset": (["--preset", "desk"], 10),
+              "config": (["--preset", "desk", "--config", str(cfg)], 2),
+              "flag": (["--preset", "desk", "--config", str(cfg), "--rounds", "1"], 1)}
+    for name, (extra, rounds) in levels.items():
+        report = tmp_path / f"{name}.csv"
+        assert run_cli("fedtrain", "--manifest", str(small_corpus / "manifest.train.jsonl"),
+                       "--side", "16", "--local-epochs", "1", "--batch", "4", "--seed", "1",
+                       "--checkpoint-out", str(tmp_path / f"{name}.frwm"),
+                       "--report-out", str(report), *extra) == 0
+        assert len(metrics.parse_history_csv(report)) == rounds, name
+
+
+@pytest.mark.parametrize("source", ["flag", "ini"])
+@pytest.mark.parametrize("command, name", [
+    ("serve", "accept_timeout"), ("serve", "idle_timeout"), ("client", "idle_timeout")])
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_a_timeout_that_is_not_a_positive_finite_number_exits_two(
+        small_corpus, tmp_path, capsys, source, command, name, value):
+    # the port is taken by a listener that never accepts: a serve that got past its
+    # settings could not bind, and a client would connect and then wait
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        address = "%s:%d" % held.getsockname()
+        if command == "serve":
+            argv = ["serve", "--bind", address, "--clients", "1", "--side", "16",
+                    "--checkpoint-out", str(tmp_path / "never.frwm")]
+            if name == "idle_timeout":
+                argv += ["--accept-timeout", "0.2"]
+        else:
+            argv = ["client", "--connect", address, "--side", "16", "--local-epochs", "1",
+                    "--batch", "4", "--manifest", str(small_corpus / "manifest.val.jsonl")]
+        if source == "flag":
+            argv += ["--" + name.replace("_", "-"), value]
+        else:
+            (tmp_path / "settings.ini").write_text(f"[fed]\n{name} = {value}\n")
+            argv += ["--config", str(tmp_path / "settings.ini")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err.replace("-", "_")
+    assert not (tmp_path / "never.frwm").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[train]\nlearning_rate = 0.5\n", "learning_rate"),
+    ("[train]\nclients = 7\n", "clients"),
+    ("[tarin]\nlr = 0.5\n", "[tarin]"),
+    ("[fed]\nlr = 0.5\n", "lr"),
+    ("[DEFAULT]\nlr = 0.5\n[fed]\nlr = 0.5\n", "[fed]"),
+    ("[DEFAULT]\nbogus = 1\n[train]\nlr = 0.5\n", "bogus"),
+], ids=["field-name", "other-section", "section", "key-of-another-section",
+        "own-key-also-in-default", "default"])
+def test_a_config_section_or_key_that_is_not_a_setting_exits_two(
+        small_corpus, tmp_path, capsys, text, named):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--manifest", str(small_corpus / "manifest.train.jsonl"),
+                "--side", "16", "--epochs", "0", "--batch", "4", "--config", str(cfg),
+                "--checkpoint-out", str(tmp_path / "never.frwm"))
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "never.frwm").exists()
+
+
+def test_default_keys_of_any_section_and_a_seed_in_each_section_are_accepted(
+        small_corpus, tmp_path):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_text("[DEFAULT]\nrounds = 2\n[synth]\nseed = 1\n[fed]\nseed = 2\n"
+                   "[train]\nseed = 4\n")
+    ckpt = tmp_path / "ck.frwm"
+    assert run_cli("train", "--manifest", str(small_corpus / "manifest.train.jsonl"),
+                   "--side", "16", "--epochs", "0", "--batch", "4", "--config", str(cfg),
+                   "--checkpoint-out", str(ckpt)) == 0
+    assert params_equal(checkpoint.load_params(ckpt), nn.init_params(16, 4))
+
+
+def test_eval_and_predict_read_no_seed(small_corpus, tmp_path, monkeypatch):
+    ckpt = tmp_path / "ck.frwm"
+    checkpoint.save_params(nn.init_params(16, 3), ckpt)
+    sample = next(e.path for e in corpus.read_manifest(
+        small_corpus / "manifest.test.jsonl").entries)
+    monkeypatch.setenv("FEDRANSOM_SEED", "abc")
+    assert run_cli("eval", "--checkpoint", str(ckpt), "--seed", "-1",
+                   "--manifest", str(small_corpus / "manifest.test.jsonl")) == 0
+    assert run_cli("predict", "--checkpoint", str(ckpt), str(small_corpus / sample)) == 0

@@ -781,17 +781,17 @@ def test_chunked_predict_equals_whole_batch_predict(monkeypatch):
     batch = rng.random((10, 1, side, side))
     params = random_params(side=side, seed=6, dtype=np.float64)
     results, chunks = {}, {}
-    real_conv_layer = nn._conv_layer
+    real_conv2d_same = nn.conv2d_same
     for name, samples in (("whole", 10), ("chunked", 3)):
         monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(samples, side))
         calls = []
 
-        def recorded(params, chunk, *args, **kwargs):
+        def recorded(chunk, *args, **kwargs):
             # two lanes finish chunks out of order: key each by its first sample's position
             calls.append(((chunk.ctypes.data - batch.ctypes.data) // batch.strides[0], len(chunk)))
-            return real_conv_layer(params, chunk, *args, **kwargs)
+            return real_conv2d_same(chunk, *args, **kwargs)
 
-        monkeypatch.setattr(nn, "_conv_layer", recorded)
+        monkeypatch.setattr(nn, "conv2d_same", recorded)
         results[name] = nn.predict(params, batch)
         chunks[name] = sorted(calls)
 
