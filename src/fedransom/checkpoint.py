@@ -14,10 +14,12 @@ Layout, all little-endian:
 
 Everything except the payloads is fixed once the image side is known. The
 writer and the reader share one template of per-tensor heads for each
-side. One parser, read_params, reads bytes, files and sockets alike: its
-caller works the side out (from the blob's length, the file's size or the
-agreed wire frame) and hands it a function that fills each buffer in turn,
-so every payload lands straight in its tensor.
+side. One writer, param_buffers, lists the heads and the tensors unjoined,
+for params_to_bytes to join, save_params to write and fedwire to send. One
+parser, read_params, reads bytes, files and sockets alike: its caller works
+the side out (from the blob's length, the file's size or the agreed wire
+frame) and hands it a function that fills each buffer in turn, so every
+payload lands straight in its tensor.
 
 load(save(p)) reproduces p bit for bit.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -60,15 +61,20 @@ def byte_length(side: int) -> int:
     return sum(map(len, _heads(side))) + 4 * sum(map(math.prod, _shapes(side)))
 
 
-def params_to_bytes(params: ModelParams, prefix: bytes = b"") -> bytes:
-    """*prefix*, then the checkpoint of *params*, made in one join."""
-    chunks = [prefix]
+def param_buffers(params: ModelParams) -> list:
+    """The checkpoint of *params*: each head, then its tensor as "<f4", a float32 tensor itself."""
+    chunks = []
     side = params.side
     for head, shape, arr in zip(_heads(side), _shapes(side), params.named().values()):
         if arr.shape != shape:
             raise ShapeMismatch(f"{arr.shape} does not fit a side-{side} model's {shape}")
-        chunks += (head, np.ascontiguousarray(arr, dtype="<f4"))  # join reads the buffer
-    return b"".join(chunks)
+        chunks += (head, np.ascontiguousarray(arr, dtype="<f4"))
+    return chunks
+
+
+def params_to_bytes(params: ModelParams) -> bytes:
+    """The checkpoint of *params*, made in one join."""
+    return b"".join(param_buffers(params))
 
 
 def _side(magic: bytes, n_bytes: int) -> int:
@@ -123,7 +129,8 @@ def params_from_bytes(blob: bytes) -> ModelParams:
 
 
 def save_params(params: ModelParams, path) -> None:
-    Path(path).write_bytes(params_to_bytes(params))
+    with open(path, "wb") as fh:
+        fh.writelines(param_buffers(params))
 
 
 def load_params(path) -> ModelParams:

@@ -73,8 +73,8 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict[str, dict[s
     # no [header] can name "", so [DEFAULT] reads as a section of its own
     file = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        file.read(path)
-    except configparser.Error as exc:
+        file.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         parser.error(f"bad config file {path}: {exc}")
     sections = {name: dict(file[name]) for name in file.sections()}
     defaults = sections.pop("DEFAULT", {})

@@ -164,10 +164,10 @@ def aggregate(updates: Sequence[ClientUpdate]) -> ModelParams:
         for start in range(0, out.size, _BLOCK):
             stop = min(start + _BLOCK, out.size)
             a, t = acc[: stop - start], tmp[: stop - start]
-            a.fill(0.0)
-            for src, w in zip(sources, weights):
+            np.multiply(sources[0][start:stop], weights[0], out=a, dtype=np.float64)
+            for src, w in zip(sources[1:], weights[1:]):
                 a += np.multiply(src[start:stop], w, out=t, dtype=np.float64)
-            out[start:stop] = a
+            np.add(a, 0.0, out=out[start:stop])  # + 0.0: a sum of signed zeros is +0.0
     return ModelParams(**merged)
 
 

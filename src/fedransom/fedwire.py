@@ -14,10 +14,13 @@ most MAX_ERROR_BYTES; FIN is empty. Other frames, and weight frames read
 without a side, carry at most MAX_CONTROL_BYTES. serve runs fedavg.run_rounds,
 the in-process engine's round loop, so a loopback federation reproduces that
 engine exactly; a failure raises once every read of its round has ended.
+Weight frames are sent from the model's arrays (WeightBuffers) and read into
+a new model's arrays: no encoded copy of a model is made on either side.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import time
@@ -25,7 +28,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from typing import NamedTuple, Optional
 
-from .checkpoint import byte_length, params_from_bytes, params_to_bytes, read_params
+from .checkpoint import byte_length, param_buffers, params_from_bytes, read_params
 from .data import Dataset
 from .errors import (ClientCountTimeout, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
@@ -86,7 +89,18 @@ def decode_hello(payload: bytes) -> tuple[str, int]:
 
 
 def encode_weight_blob(round_index: int, n_samples: int, params: ModelParams) -> bytes:
-    return params_to_bytes(params, _BLOB_HEAD.pack(round_index, n_samples))
+    return b"".join(WeightBuffers(round_index, n_samples, params).views)
+
+
+class WeightBuffers:
+    """encode_weight_blob's payload as buffers, tensors not copied; len() counts its bytes."""
+
+    def __init__(self, round_index: int, n_samples: int, params: ModelParams) -> None:
+        head = _BLOB_HEAD.pack(round_index, n_samples)
+        self.views = [memoryview(b).cast("B") for b in (head, *param_buffers(params))]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.views))
 
 
 def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:
@@ -95,18 +109,18 @@ def decode_weight_blob(payload: bytes) -> tuple[int, int, ModelParams]:
 
 
 def send_frame(sock: socket.socket, msg_type: int, payload: bytes = b"") -> None:
-    """Send one frame without copying *payload*."""
+    """Send one frame without copying *payload*, bytes or WeightBuffers."""
     _check_header(len(payload), msg_type)
-    header = _HEADER.pack(len(payload), msg_type)
-    # one sendmsg: a header sent apart from its payload can stall on Nagle
-    # and delayed ACK
-    sent = sock.sendmsg([header, payload])
-    if sent < len(header):
-        sock.sendall(header[sent:])
-        sent = len(header)
-    if sent < len(header) + len(payload):
-        with memoryview(payload) as view:
-            sock.sendall(view[sent - len(header) :])
+    parts = payload.views if isinstance(payload, WeightBuffers) else [memoryview(payload).cast("B")]
+    views = [memoryview(_HEADER.pack(len(payload), msg_type)), *parts]
+    # the header goes in the first sendmsg with the payload: a header sent
+    # apart from its payload can stall on Nagle and delayed ACK
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if views:
+            views[0] = views[0][sent:]
 
 
 def _fill(sock: socket.socket, view: memoryview) -> None:
@@ -164,8 +178,10 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
     fedavg.run_rounds to aggregate; it reports each round when train_set or
     val_set is given. A *listener* given replaces bind and is closed once the
     clients have joined. On any failure every accepted connection gets an
-    ERROR frame before it is closed.
+    ERROR frame before it is closed. A timeout that is not a positive, finite
+    number of seconds raises ValueError before serve opens or takes a socket.
     """
+    _check_timeouts(accept_timeout, idle_timeout)
     socks: list[socket.socket] = []
     try:
         with listener if listener is not None else socket.create_server(bind) as listening:
@@ -176,7 +192,7 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
         side = train_config.side
         with ThreadPoolExecutor(len(peers)) as pool:
             def start_round(params: ModelParams, round_index: int) -> list[Future]:
-                blob = encode_weight_blob(round_index, 0, params)
+                blob = WeightBuffers(round_index, 0, params)
                 for peer in peers:
                     _send(peer, round_index, MSG_GLOBAL, blob)
                 return [pool.submit(_read_update, p, round_index, side) for p in peers]
@@ -196,6 +212,11 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
     finally:
         for sock in socks:
             sock.close()
+
+
+def _check_timeouts(*timeouts: float) -> None:
+    if not all(0 < t < math.inf for t in timeouts):
+        raise ValueError(f"timeouts must be positive, finite numbers of seconds: {timeouts}")
 
 
 def _await_clients(listener: socket.socket, socks: list[socket.socket], n_clients: int,
@@ -277,11 +298,13 @@ def client_join(address: tuple[str, int], shard: ClientShard,
 
     A refused connection is retried until *connect_timeout*, then raised. A
     failed read or send, or any protocol surprise, raises ProtocolViolation;
-    a GLOBAL for another side than config.side, OversizeFrame from its header.
+    a GLOBAL for another side than config.side, OversizeFrame from its header;
+    a timeout that is not positive and finite, ValueError before it connects.
     """
+    _check_timeouts(connect_timeout, idle_timeout)
     sock = _connect(address, connect_timeout)
-    sock.settimeout(idle_timeout)
     try:
+        sock.settimeout(idle_timeout)
         send_frame(sock, MSG_HELLO, encode_hello(shard.client_id, len(shard)))
         while _client_round(sock, shard, config):
             pass
@@ -305,5 +328,5 @@ def _client_round(sock: socket.socket, shard: ClientShard, config: TrainConfig) 
         raise ProtocolViolation(f"unexpected message type 0x{frame.msg_type:02x} from server")
     round_index, _, global_params = frame.weights
     update = local_train(global_params, shard, config, round_index)
-    send_frame(sock, MSG_UPDATE, encode_weight_blob(round_index, update.n_samples, update.params))
+    send_frame(sock, MSG_UPDATE, WeightBuffers(round_index, update.n_samples, update.params))
     return True

@@ -52,6 +52,14 @@ def test_file_round_trip(tmp_path):
     assert params_equal(checkpoint.load_params(path), params)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_params_writes_the_bytes_of_params_to_bytes(tmp_path, dtype):
+    params = random_params(side=12, seed=4, dtype=dtype)
+    path = tmp_path / "model.frwm"
+    checkpoint.save_params(params, path)
+    assert path.read_bytes() == checkpoint.params_to_bytes(params)
+
+
 def test_bad_magic_rejected():
     blob = checkpoint.params_to_bytes(random_params(side=8, seed=0))
     with pytest.raises(CorruptCheckpoint):

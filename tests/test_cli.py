@@ -93,6 +93,16 @@ def test_config_without_a_section_header_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "settings.ini"
+    cfg.write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert exc.value.code == 2
+    assert "bad config file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_writes_files_and_split_manifests(tmp_path):
     assert run_cli(*synth_args(tmp_path)) == 0
     manifest = corpus.read_manifest(tmp_path / "manifest.jsonl")

@@ -1,10 +1,14 @@
+import gc
+import math
 import select
 import socket
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 
+import numpy as np
 import pytest
 from helpers import params_equal, random_params, tiny_dataset
 from hypothesis import given, settings
@@ -103,11 +107,13 @@ def test_weight_blob_round_trip():
     assert params_equal(params, again)
 
 
-def _receive(sock, size):
-    """A thread that reads *size* bytes from *sock* into a buffer made up front."""
+def _receive(sock, size, delay=0.0):
+    """A thread that reads *size* bytes from *sock* into a buffer made up front,
+    starting after *delay* seconds."""
     buf = bytearray(size)
 
     def run():
+        time.sleep(delay)
         got = 0
         with memoryview(buf) as view:
             while got < size:
@@ -163,6 +169,67 @@ def test_sending_a_reference_side_update_copies_its_weights_once():
     # the payload itself is the one copy; each extra concatenation adds another
     payload = len(want) - 5
     assert peak <= 1.5 * payload, f"peak {peak / payload:.2f}x the {payload}-byte payload"
+
+
+class _RecordingSocket:
+    """A socket whose sendmsg records the bytes each call sent."""
+
+    def __init__(self, sock):
+        self.sock, self.sent = sock, []
+
+    def sendmsg(self, buffers):
+        self.sent.append(self.sock.sendmsg(buffers))
+        return self.sent[-1]
+
+
+@pytest.mark.parametrize("side, dtype, sndbuf", [(8, np.float32, None), (8, np.float64, None),
+                                                 (300, np.float32, 1 << 16)],
+                         ids=["float32", "float64", "side-300-partial-sends"])
+def test_a_weight_frame_sent_from_the_model_is_the_encoded_frame(side, dtype, sndbuf):
+    params = random_params(side, 3, dtype)
+    want = encode_frame(MSG_UPDATE, encode_weight_blob(3, 7, params))
+    reader, writer = socket.socketpair()
+    try:
+        if sndbuf:
+            writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
+        reader.settimeout(10.0)
+        writer.settimeout(10.0)
+        # a reader that starts late fills the small send buffer first
+        buf, thread = _receive(reader, len(want), delay=0.2 if sndbuf else 0.0)
+        recording = _RecordingSocket(writer)
+        fedwire.send_frame(recording, MSG_UPDATE, fedwire.WeightBuffers(3, 7, params))
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert buf == want
+    finally:
+        reader.close()
+        writer.close()
+    assert sum(recording.sent) == len(want)
+    if sndbuf:
+        assert len(recording.sent) > 1, "sendmsg sent the whole frame at once"
+
+
+def test_sending_a_reference_side_update_from_its_arrays_allocates_under_a_mebibyte():
+    params = nn.init_params(300, 0)
+    want = encode_frame(MSG_UPDATE, encode_weight_blob(3, 1, params))
+    reader, writer = socket.socketpair()
+    try:
+        reader.settimeout(10.0)
+        writer.settimeout(10.0)
+        buf, thread = _receive(reader, len(want))
+        tracemalloc.start()
+        try:
+            fedwire.send_frame(writer, MSG_UPDATE, fedwire.WeightBuffers(3, 1, params))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert buf == want
+    finally:
+        reader.close()
+        writer.close()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_read_frame_rejects_unknown_type_before_the_payload():
@@ -352,6 +419,46 @@ def test_client_join_refused_on_dead_address():
     shard = partition(tiny_dataset(n=4, side=8, seed=0), 1, seed=0)[0]
     with pytest.raises(OSError):
         client_join(address, shard, nn.TrainConfig(side=8), connect_timeout=2.0)
+
+
+_BAD_TIMEOUTS = [-1.0, 0.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+@pytest.mark.parametrize("which", ["connect_timeout", "idle_timeout"])
+def test_client_join_rejects_a_timeout_that_is_not_positive_and_finite(which, timeout):
+    listener = _free_listener()  # never accepts: a connection waits in its backlog
+    shard = partition(tiny_dataset(n=4, side=8, seed=0), 1, seed=0)[0]
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="positive, finite"):
+                client_join(listener.getsockname(), shard, nn.TrainConfig(side=8),
+                            **{which: timeout})
+            gc.collect()
+    finally:
+        listener.close()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+@pytest.mark.parametrize("which", ["accept_timeout", "idle_timeout"])
+def test_serve_rejects_a_timeout_that_is_not_positive_and_finite(which, timeout):
+    fed = FedConfig(n_clients=1, n_rounds=1, local_epochs=1, seed=0)
+    listener = _free_listener()
+    holder = {}
+    server = threading.Thread(target=_run_server,
+                              args=(listener, fed, nn.TrainConfig(side=8, seed=0), holder),
+                              kwargs={"accept_timeout": 0.5, "idle_timeout": 0.5, which: timeout})
+    t0 = time.monotonic()
+    server.start()
+    server.join(timeout=5)
+    took = time.monotonic() - t0
+    listener.close()  # also ends a serve that would wait forever
+    server.join(timeout=5)
+    assert not server.is_alive()
+    assert took < 1.0
+    assert isinstance(holder.get("error"), ValueError), holder
 
 
 def test_client_join_reports_server_error():
