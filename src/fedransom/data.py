@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import EmptyDataset, ShapeMismatch
 from .imaging import GrayImage
 
 
@@ -45,6 +45,8 @@ class Dataset:
 def from_images(images: Sequence[GrayImage], labels: Sequence[int]) -> Dataset:
     if len(images) != len(labels):
         raise ShapeMismatch("one label per image required")
+    if not images:
+        raise EmptyDataset("cannot stack a dataset from no images")
     side = images[0].side
     stack = np.stack([img.pixels for img in images])[:, None, :, :]
     if stack.shape[2:] != (side, side):

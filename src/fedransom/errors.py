@@ -26,7 +26,7 @@ class ShapeMismatch(FedransomError, ValueError):
 
 
 class EmptyDataset(FedransomError, ValueError):
-    """Training requested on a dataset with no samples."""
+    """A dataset with no samples where samples are required."""
 
 
 class TooFewSamples(FedransomError, ValueError):

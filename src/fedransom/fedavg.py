@@ -23,8 +23,7 @@ from .data import Dataset
 from .errors import (EmptyShard, EmptyUpdateSet, RoundMismatch, ShapeMismatch,
                      TooFewSamples)
 from .metrics import EvalReport, confusion, history_row, precision_recall_f1, with_history
-from .nn import (ModelParams, TrainConfig, _share_cores, _usable_cores, accuracy, fit,
-                 init_params, predict)
+from .nn import ModelParams, TrainConfig, _usable_cores, accuracy, fit, init_params, predict
 
 _MIX_CLIENT = 0x9E3779B97F4A7C15
 _MIX_ROUND = 0xC2B2AE3D27D4EB4F
@@ -116,9 +115,9 @@ def partition(dataset: Dataset, n_clients: int, seed: int) -> list[ClientShard]:
             for k, block in enumerate(blocks)]
 
 
-def local_train(global_params: ModelParams, shard: ClientShard,
-                config: TrainConfig, round_index: int = 0) -> ClientUpdate:
-    """One client's round: copy the global model, fit on the shard only.
+def local_train(global_params: ModelParams, shard: ClientShard, config: TrainConfig,
+                round_index: int = 0, cores: Optional[int] = None) -> ClientUpdate:
+    """One client's round: copy the global model, fit on the shard only, on *cores*.
 
     The round's reports are computed on the aggregate, so the client skips
     fit's per-epoch accuracy passes.
@@ -127,7 +126,7 @@ def local_train(global_params: ModelParams, shard: ClientShard,
         raise EmptyShard(f"client {shard.client_id} has no samples")
     rng = np.random.default_rng(
         client_stream_seed(config.seed, client_ordinal(shard.client_id), round_index))
-    params, _ = fit(global_params, shard.samples, config, rng, score_train=False)
+    params, _ = fit(global_params, shard.samples, config, rng, score_train=False, cores=cores)
     return ClientUpdate(client_id=shard.client_id, round_index=round_index,
                         params=params, n_samples=len(shard))
 
@@ -185,12 +184,12 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     """Broadcast, train locally on every client, aggregate; one report per round.
 
     A round's clients train at the same time in a pool of min(K, usable
-    cores) threads, which takes them in waves of that many, and each
-    client's fit runs on its wave's share of the cores: on two cores,
-    three clients train on one lane each, then the third on two. numpy
-    releases the GIL in the matmuls and ufuncs that do the work. The first
-    failing client, in shard order, raises once every client of the round
-    has finished.
+    cores) threads, which takes them in waves of that many. Each client's
+    local_train is passed its wave's share of the cores, and its fit takes
+    its lanes from that: on two cores, clients 0 and 1 train on one lane
+    each, then client 2 on two. numpy releases the GIL in the matmuls and
+    ufuncs that do the work. The first failing client, in shard order,
+    raises once every client of the round has finished.
 
     The global model is seeded from train_config.seed; the shard layout from
     fed_config.seed. Reports are computed on val_set when given, otherwise
@@ -208,15 +207,9 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
     with ThreadPoolExecutor(workers) as pool:
         return run_rounds(
             init_params(train_config.side, train_config.seed), fed_config.n_rounds,
-            lambda params, r: [pool.submit(_client_on_cores, share, params, s, local_cfg, r)
+            lambda params, r: [pool.submit(local_train, params, s, local_cfg, r, share)
                                for share, s in zip(shares, shards)],
             dataset, val_set)
-
-
-def _client_on_cores(cores: int, *args) -> ClientUpdate:
-    """local_train(*args) with the pool thread's fits on *cores* cores."""
-    _share_cores(cores)
-    return local_train(*args)
 
 
 def run_rounds(global_params: ModelParams, n_rounds: int,

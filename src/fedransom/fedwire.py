@@ -204,14 +204,19 @@ def serve(bind: tuple[str, int], fed_config: FedConfig, train_config: TrainConfi
             _send(peer, fed_config.n_rounds - 1, MSG_FIN)
         return global_params, reports
     except BaseException as exc:
-        reason = f"{type(exc).__name__}: {exc}".encode("utf-8")[:MAX_ERROR_BYTES]
         for sock in socks:
-            with suppress(OSError):
-                send_frame(sock, MSG_ERROR, reason)
+            _send_error(sock, exc)
         raise
     finally:
         for sock in socks:
             sock.close()
+
+
+def _send_error(sock: socket.socket, exc: BaseException) -> None:
+    """Tell the peer why this side aborts, as far as the connection still allows."""
+    reason = f"{type(exc).__name__}: {exc}".encode("utf-8")[:MAX_ERROR_BYTES]
+    with suppress(OSError):
+        send_frame(sock, MSG_ERROR, reason)
 
 
 def _check_timeouts(*timeouts: float) -> None:
@@ -266,6 +271,9 @@ def _read_update(peer: _Peer, round_index: int, side: int) -> ClientUpdate:
         frame = read_frame(peer.sock, side)
         if frame is None:
             raise ProtocolViolation(f"{who} disconnected during round {round_index}")
+        if frame.msg_type == MSG_ERROR:
+            raise ProtocolViolation(f"{who} failed during round {round_index}: "
+                                    f"{frame.payload.decode('utf-8', 'replace')}")
         if frame.msg_type != MSG_UPDATE:
             raise ProtocolViolation(f"{who} sent type 0x{frame.msg_type:02x}, expected UPDATE")
         got_round, n_samples, params = frame.weights
@@ -300,6 +308,7 @@ def client_join(address: tuple[str, int], shard: ClientShard,
     failed read or send, or any protocol surprise, raises ProtocolViolation;
     a GLOBAL for another side than config.side, OversizeFrame from its header;
     a timeout that is not positive and finite, ValueError before it connects.
+    Every failure but a failed read or send also goes to the server as ERROR.
     """
     _check_timeouts(connect_timeout, idle_timeout)
     sock = _connect(address, connect_timeout)
@@ -311,6 +320,9 @@ def client_join(address: tuple[str, int], shard: ClientShard,
         return 0
     except OSError as exc:  # timeouts, resets, closed pipes
         raise ProtocolViolation(f"server connection failed: {exc}") from exc
+    except BaseException as exc:
+        _send_error(sock, exc)
+        raise
     finally:
         sock.close()
 

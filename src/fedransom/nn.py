@@ -9,9 +9,9 @@ SGD. Each layer has one code path, which runs in a workspace of reused
 buffers; a public call made without one (conv2d_same, forward,
 batch_loss_and_grad) builds a workspace for that call alone. fit and
 predict run a batch's chunks on two lanes, the calling thread and one
-helper thread, each in its own workspace, where the calling thread's
-share of the cores is two or more; chunks take their dropout draws and
-add their gradients in chunk order, so the lane count changes no bit.
+helper thread, each in its own workspace, where the caller passes two or
+more *cores* (by default, every usable core); chunks take their dropout
+draws and add their gradients in chunk order, so the lane count changes no bit.
 The dense layer picks each product's kernel by its shape: one gemv per sample
 for the logits (so they do not depend on the chunk) and the activation gradient,
 an outer product for one sample's weight gradient, 256 KiB steps to add one.
@@ -216,21 +216,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-_share = threading.local()  # .cores: the calling thread's share of the usable cores
-
-
-def _share_cores(cores: int) -> None:
-    """From now on, run the calling thread's fits and predicts on *cores*
-    cores: its share, where it is one of a pool's threads that train side
-    by side."""
-    _share.cores = cores
-
-
-def _lane_count(chunks: int) -> int:
-    """Lanes for jobs of *chunks* chunks on the thread's share of the cores:
-    the calling thread and at most one helper, so that no fit's or
-    predict's buffers grow with the core count."""
-    return max(1, min(2, getattr(_share, "cores", None) or _usable_cores(), chunks))
+def _lane_count(chunks: int, cores: Optional[int]) -> int:
+    """Lanes for jobs of *chunks* chunks on *cores* cores (None: every
+    usable core): the calling thread and at most one helper, so that no
+    fit's or predict's buffers grow with the core count."""
+    return max(1, min(2, cores or _usable_cores(), chunks))
 
 
 class _Lanes:
@@ -530,15 +520,15 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float, *,
     return ModelParams(**new)
 
 
-def predict(params: ModelParams, batch: np.ndarray,
-            threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+def predict(params: ModelParams, batch: np.ndarray, threshold: float = 0.5, *,
+            cores: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode class labels and probabilities, in the dtype the model
     computes them in.
 
     A sample is called ransomware (1) when its class-1 probability strictly
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
-    tie resolved to class 0. Chunks of the batch run on two lanes, each
-    conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
+    tie resolved to class 0. Chunks run on two lanes where *cores* allow,
+    each conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
     """
     _check_batch(params, batch)
     n, step = batch.shape[0], _chunk_size(params, batch, PREDICT_CHUNK_BYTES)
@@ -555,15 +545,15 @@ def predict(params: ModelParams, batch: np.ndarray,
 
     chunks = -(-n // step)
     workspaces = tuple(_Workspace(min(step, n), batch, params.conv_kernels, training=False)
-                       for _ in range(_lane_count(chunks)))
+                       for _ in range(_lane_count(chunks, cores)))
     with _Lanes(workspaces) as lanes:
         lanes.run(chunks, work)
     labels = (probs[:, 1] > threshold).astype(np.int64)
     return labels, probs
 
 
-def accuracy(params: ModelParams, dataset: Dataset) -> float:
-    labels, _ = predict(params, dataset.images)
+def accuracy(params: ModelParams, dataset: Dataset, cores: Optional[int] = None) -> float:
+    labels, _ = predict(params, dataset.images, cores=cores)
     return float((labels == dataset.labels).mean())
 
 
@@ -576,16 +566,16 @@ class EpochStats:
 
 
 def fit(params: ModelParams, train: Dataset, config: TrainConfig,
-        rng: np.random.Generator, val: Optional[Dataset] = None,
-        score_train: bool = True) -> tuple[ModelParams, list[EpochStats]]:
+        rng: np.random.Generator, val: Optional[Dataset] = None, score_train: bool = True,
+        cores: Optional[int] = None) -> tuple[ModelParams, list[EpochStats]]:
     """Mini-batch SGD over shuffled epochs; the short final batch is kept.
 
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
     Each mini-batch goes through batch_loss_and_grad, in chunks that bound
-    its memory, on two lanes with a workspace each. Steps write their models
-    over their gradients in two private sets of arrays, never the caller's,
-    which clients may share.
+    its memory, on two lanes where *cores* allow, as do its accuracy passes.
+    Steps write their models over their gradients in two private sets of
+    arrays, never the caller's, which clients may share.
     Without *score_train* the per-epoch pass over the training set is
     skipped and train_accuracy is None; the weights do not change.
     """
@@ -598,7 +588,7 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     chunk = min(batch, _chunk_size(params, train.images, CHUNK_BYTES))
     chunks = -(-batch // chunk)
     workspaces = tuple(_Workspace(chunk, train.images, params.conv_kernels, gather=chunks > 1)
-                       for _ in range(_lane_count(chunks)))
+                       for _ in range(_lane_count(chunks, cores)))
     pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
     history: list[EpochStats] = []
     with _Lanes(workspaces) as lanes:
@@ -616,7 +606,7 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
             history.append(EpochStats(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)),
-                train_accuracy=accuracy(params, train) if score_train else None,
-                val_accuracy=accuracy(params, val) if val is not None and len(val) else None,
+                train_accuracy=accuracy(params, train, cores) if score_train else None,
+                val_accuracy=accuracy(params, val, cores) if val is not None and len(val) else None,
             ))
     return params, history

@@ -8,8 +8,9 @@ from fedransom import corpus
 from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
                               read_manifest, scan_tree, split, synth_benign,
                               synth_ransomlike, write_manifest)
-from fedransom.errors import (CorruptManifest, EmptyInput, InvalidSplitSpec, SizeTooSmall,
-                              TooFewSamples)
+from fedransom.data import from_images
+from fedransom.errors import (CorruptManifest, EmptyDataset, EmptyInput, InvalidSplitSpec,
+                              SizeTooSmall, TooFewSamples)
 from fedransom.imaging import bytes_to_image, entropy_profile, shannon_entropy
 
 
@@ -189,6 +190,12 @@ def test_load_dataset_of_an_empty_manifest_is_an_empty_dataset(tmp_path):
     assert len(ds) == 0 and ds.side == 16
     assert ds.images.shape == (0, 1, 16, 16) and ds.images.dtype == np.float32
     assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
+
+
+def test_from_images_of_no_images_raises_a_typed_error():
+    # no first image gives the side; load_dataset answers an empty manifest itself
+    with pytest.raises(EmptyDataset, match="no images"):
+        from_images([], [])
 
 
 def test_load_dataset_images_long_and_short_files_as_whole_reads(tmp_path):

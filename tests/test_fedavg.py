@@ -303,25 +303,30 @@ def test_concurrent_clients_give_the_sequential_bits(n_clients, seed):
 @pytest.mark.parametrize("cores, lanes", [(2, [1, 1, 2]), (8, [2, 2, 2])],
                          ids=["2-cores", "8-cores"])
 def test_each_pooled_client_trains_on_its_waves_share_of_the_cores(monkeypatch, cores, lanes):
-    # 3 clients in steps of 2 chunks: on 2 cores the pool trains clients 0
-    # and 1 on one lane each, then client 2 on two; on 8 cores all three at
-    # once on two lanes each. The caller's share stays every core
+    # 3 clients in steps of 2 chunks: on 2 cores the pool passes clients 0
+    # and 1 one core each, so one lane, then client 2 two; on 8 cores all
+    # three train at once on two cores, so two lanes, each
     ds = tiny_dataset(n=24, side=8, seed=21)
     fed = FedConfig(n_clients=3, n_rounds=2, local_epochs=1, batch_size=4, seed=6)
     train_cfg = nn.TrainConfig(side=8, seed=6)
     monkeypatch.setattr(nn, "CHUNK_BYTES", 2 * nn.N_FILTERS * 8 * 8 * 4)
     monkeypatch.setattr(fedavg, "_usable_cores", lambda: cores)
     monkeypatch.setattr(nn, "_usable_cores", lambda: cores)
-    real_local_train, seen = fedavg.local_train, {}
+    real_local_train, real_fit, seen, fits = fedavg.local_train, fedavg.fit, {}, []
 
-    def recorded(global_params, shard, config, round_index=0):
-        seen.setdefault(shard.client_id, set()).add(nn._lane_count(2))
-        return real_local_train(global_params, shard, config, round_index)
+    def recorded(global_params, shard, config, round_index=0, share=None):
+        seen.setdefault(shard.client_id, set()).add(share)
+        return real_local_train(global_params, shard, config, round_index, share)
+
+    def recorded_fit(*args, cores=None, **kwargs):
+        fits.append(cores)
+        return real_fit(*args, cores=cores, **kwargs)
 
     monkeypatch.setattr(fedavg, "local_train", recorded)
+    monkeypatch.setattr(fedavg, "fit", recorded_fit)
     fed_params, _ = run_federation(ds, fed, train_cfg)
     assert [seen[f"client-{k}"] for k in range(3)] == [{n} for n in lanes]
-    assert nn._lane_count(2) == 2
+    assert sorted(fits) == sorted(lanes * fed.n_rounds)  # each share reaches its fit
     assert params_equal(fed_params, _sequential_federation(ds, fed, train_cfg))
 
 
@@ -336,10 +341,10 @@ def test_failing_client_raises_its_typed_error_and_leaks_no_thread(monkeypatch):
     crash = ClientCrashed("client-1 lost its shard")
     real_local_train = fedavg.local_train
 
-    def failing(global_params, shard, config, round_index=0):
+    def failing(global_params, shard, config, round_index=0, cores=None):
         if shard.client_id == "client-1":
             raise crash
-        return real_local_train(global_params, shard, config, round_index)
+        return real_local_train(global_params, shard, config, round_index, cores)
 
     monkeypatch.setattr(fedavg, "local_train", failing)
     before = threading.active_count()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedransom import checkpoint, fedavg, fedwire, nn
-from fedransom.errors import (ClientCountTimeout, OversizeFrame,
+from fedransom.errors import (ClientCountTimeout, FedransomError, OversizeFrame,
                               ProtocolViolation, TruncatedFrame, UnknownFrameType)
 from fedransom.fedavg import FedConfig, partition, run_federation
 from fedransom.fedwire import (MSG_ERROR, MSG_FIN, MSG_GLOBAL, MSG_HELLO,
@@ -812,6 +812,41 @@ def test_client_of_another_side_rejects_the_global_from_its_header():
     assert isinstance(error, ProtocolViolation) and "client client-0" in str(error)
     assert isinstance(outcome.get("client-1"), ProtocolViolation)
     assert str(outcome["client-1"]).startswith("server error: ProtocolViolation: client client-0")
+
+
+def test_a_client_whose_training_fails_tells_the_server_why(monkeypatch):
+    fed = FedConfig(n_clients=2, n_rounds=1, local_epochs=1, batch_size=4, seed=1)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=1)
+    shards = partition(tiny_dataset(n=6, side=8, seed=14), 2, seed=1)
+    real_local_train = fedwire.local_train
+
+    def diverging(global_params, shard, *args, **kwargs):
+        if shard.client_id == "client-0":
+            raise FedransomError("loss diverged to nan in epoch 0")
+        return real_local_train(global_params, shard, *args, **kwargs)
+
+    monkeypatch.setattr(fedwire, "local_train", diverging)
+    address, holder, server = _start_server(fed, cfg, accept_timeout=10.0, idle_timeout=10.0)
+    outcome = {}
+
+    def join(shard):
+        try:
+            client_join(address, shard, cfg, idle_timeout=10.0)
+        except Exception as exc:  # noqa: BLE001 - surfaced by the test
+            outcome[shard.client_id] = exc
+
+    clients = [threading.Thread(target=join, args=(shard,)) for shard in shards]
+    for t in clients:
+        t.start()
+    for t in clients:
+        t.join(timeout=30)
+    server.join(timeout=30)
+    assert not server.is_alive() and not any(t.is_alive() for t in clients)
+    assert str(outcome.get("client-0")) == "loss diverged to nan in epoch 0"
+    cause = "client client-0 failed during round 0: FedransomError: loss diverged to nan in epoch 0"
+    error = holder.get("error")
+    assert isinstance(error, ProtocolViolation) and str(error) == cause
+    assert str(outcome.get("client-1")) == f"server error: ProtocolViolation: {cause}"
 
 
 def test_client_join_names_the_server_for_a_failed_read():

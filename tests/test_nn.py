@@ -518,29 +518,46 @@ def test_fit_in_its_workspace_equals_the_public_step_bit_for_bit(monkeypatch, dt
                                                float(np.mean(losses[2:]))]
 
 
+@pytest.mark.parametrize("by_argument", [False, True], ids=["usable-cores", "cores-argument"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch_size, chunks", [(2, 1), (5, 2), (8, 3), (20, 7)])
-def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_size, chunks):
+def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_size, chunks,
+                                                      by_argument):
     # 23 float32 images in chunks of 3, each step's last chunk short, and a
-    # short final batch; with the accuracy pass, which predicts on the lanes too
+    # short final batch; with the accuracy pass, which predicts on the lanes
+    # too, in 8 chunks. The lanes come from the usable cores or, on two
+    # usable cores, from fit's cores argument
     side = 12
     train = tiny_dataset(n=23, side=side, seed=38)
     cfg = nn.TrainConfig(side=side, epochs=2, batch_size=batch_size, learning_rate=0.05)
     monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
-    real_forward, runs = nn.forward, {}
+    monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    real_forward, real_conv2d_same, runs = nn.forward, nn.conv2d_same, {}
     for lanes in (1, 2):
-        threads = set()
+        threads, conv_threads = set(), set()
 
         def recorded(*args, **kwargs):
             threads.add(threading.get_ident())
             return real_forward(*args, **kwargs)
 
+        def recorded_conv(*args, **kwargs):  # in forward and in the accuracy pass
+            conv_threads.add(threading.get_ident())
+            return real_conv2d_same(*args, **kwargs)
+
         monkeypatch.setattr(nn, "forward", recorded)
+        monkeypatch.setattr(nn, "conv2d_same", recorded_conv)
         monkeypatch.setattr(nn, "_usable_cores", lambda: lanes)
+        cores = None
+        if by_argument:
+            monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+            cores = lanes
         rng = np.random.default_rng(10)
-        fitted, history = nn.fit(nn.init_params(side, 5).astype(dtype), train, cfg, rng)
+        fitted, history = nn.fit(nn.init_params(side, 5).astype(dtype), train, cfg, rng,
+                                 cores=cores)
         runs[lanes] = fitted, history, rng.bit_generator.state
         assert len(threads) == min(lanes, chunks)
+        # each accuracy pass starts a helper of its own, which may get a new ident
+        assert (len(conv_threads) > 1) == (lanes > 1)
     (one, one_history, one_state), (two, two_history, two_state) = runs[1], runs[2]
     assert all(a.dtype == dtype for a in two.named().values())
     assert params_equal(two, one)
@@ -801,16 +818,31 @@ def test_chunked_predict_equals_whole_batch_predict(monkeypatch):
     assert np.abs(probs - whole_probs).max() <= 1e-6
 
 
+@pytest.mark.parametrize("by_argument", [False, True], ids=["usable-cores", "cores-argument"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_predict_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype):
+def test_predict_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, by_argument):
+    # the lanes come from the usable cores or, on two usable cores, from
+    # predict's cores argument
     side = 12
     batch = np.random.default_rng(40).random((10, 1, side, side)).astype(dtype)
     params = random_params(side=side, seed=9, dtype=dtype)
     monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(3, side))  # 3 + 3 + 3 + 1
-    results = {}
+    real_conv2d_same, results = nn.conv2d_same, {}
     for lanes in (1, 2):
+        threads = set()
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real_conv2d_same(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "conv2d_same", recorded)
         monkeypatch.setattr(nn, "_usable_cores", lambda: lanes)
-        results[lanes] = nn.predict(params, batch)
+        cores = None
+        if by_argument:
+            monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+            cores = lanes
+        results[lanes] = nn.predict(params, batch, cores=cores)
+        assert len(threads) == lanes
     (one_labels, one_probs), (two_labels, two_probs) = results[1], results[2]
     assert two_probs.dtype == dtype
     assert np.array_equal(two_labels, one_labels)
