@@ -32,14 +32,20 @@ from .imaging import bytes_to_image
 PROG = "fedransom"
 
 
-def _seconds(text: str) -> float:
-    """A timeout: a positive, finite number of seconds."""
-    try:
-        if 0 < float(text) < math.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive, finite number of seconds, got {text!r}")
+def _number(within, expected: str):
+    """A type function for a number *within* the bounds that *expected* names."""
+    def parse(text: str) -> float:
+        try:
+            if within(float(text)):  # nan is within no bounds
+                return float(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_seconds = _number(lambda x: 0 < x < math.inf, "a positive, finite number of seconds")
+_probability = _number(lambda x: 0 <= x <= 1, "a number in [0, 1]")
 
 
 # name: (INI section, type, built-in, --preset desk value or None, help)
@@ -52,7 +58,7 @@ _SETTINGS = {
     "batch": ("train", int, 64, 16, "mini-batch size"),
     "lr": ("train", float, 0.006, None, "learning rate"),
     "dropout": ("train", float, 0.25, None, "dropout rate"),
-    "threshold": ("train", float, 0.5, None, "ransomware when its probability exceeds this"),
+    "threshold": ("train", _probability, 0.5, None, "ransomware when its probability exceeds this"),
     "clients": ("fed", int, 3, None, "number of clients"),
     "rounds": ("fed", int, 30, 10, "federation rounds"),
     "local_epochs": ("fed", int, 30, 3, "client epochs per round"),
@@ -149,8 +155,8 @@ def _fed_config(args, parser, train_cfg: nn.TrainConfig) -> fedavg.FedConfig:
 
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with a port in 0-65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 

@@ -144,13 +144,12 @@ def _patches(batch: np.ndarray, workspace: _Workspace) -> np.ndarray:
 
 class _Workspace:
     """One lane's buffers for its largest chunk: the conv output (shaped by
-    the *kernels*) and a patch group; to train, the gate and a dense-gradient
-    column block; for steps of more than one chunk (*gather*), the gathered
-    chunk and dropout's compare block, which a one-chunk step allocates
-    afresh. order and k are the job and chunk the lane runs."""
+    the *kernels*) and a patch group; to train, the gathered chunk, the gate
+    and a dense-gradient column block. order and k are the job and chunk the
+    lane runs."""
 
     def __init__(self, samples: int, images: np.ndarray, kernels: np.ndarray,
-                 training: bool = True, gather: bool = False) -> None:
+                 training: bool = True) -> None:
         h, w = images.shape[2:]
         dtype = np.result_type(kernels, images)
         group_bytes = _BLOCK_BYTES if training else _BLOCK_BYTES // 4
@@ -159,13 +158,11 @@ class _Workspace:
         self.act = np.empty((samples, len(kernels), h * w), dtype)  # conv output
         self.padded = np.zeros((group, h + 2, w + 2), images.dtype)
         self.patches = np.ones((group, KERNEL_SIDE ** 2 + 1, h * w), images.dtype)  # the ones row stays
-        self.chunk: Optional[np.ndarray] = None
-        self.compare: Optional[np.ndarray] = None
-        if gather:
-            self.chunk = np.empty((samples, *images.shape[1:]), images.dtype)
-            self.compare = np.empty(_draw_units(), dtype=bool)
         if training:
+            self.chunk = np.empty((samples, *images.shape[1:]), images.dtype)
             self.gate = np.empty((samples, len(kernels), h, w), dtype=bool)
+            # 4 MiB, though loss_and_grad walks it in 256 KiB steps: a 256 KiB block raised
+            # wire-300's peak RSS from 256-260 MiB to 267-299 MiB (4 of 4 processes)
             width = min(self.act[0].size, _BLOCK_BYTES // (N_CLASSES * dtype.itemsize))
             self.cols = np.empty((N_CLASSES, width), dtype)
         self.order: Optional[_Order] = None
@@ -216,20 +213,20 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _lane_count(chunks: int, cores: Optional[int]) -> int:
-    """Lanes for jobs of *chunks* chunks on *cores* cores (None: every
-    usable core): the calling thread and at most one helper, so that no
-    fit's or predict's buffers grow with the core count."""
-    return max(1, min(2, cores or _usable_cores(), chunks))
-
-
 class _Lanes:
-    """The calling thread and, from the first job of two chunks or more, a
-    one-thread executor, each lane with its own workspace. The with-block
-    that makes the lanes shuts the helper down."""
+    """The plan of one pass over *samples* samples: chunks of step samples,
+    each conv output within *budget* bytes; the calling thread and, where
+    *cores* (None: every usable core) and the chunks allow, one helper thread,
+    so that no pass's buffers grow with the core count; and one workspace per
+    lane. The helper starts at the first job of two chunks or more, and the
+    with-block that makes the lanes shuts it down."""
 
-    def __init__(self, workspaces: tuple[_Workspace, ...]) -> None:
-        self.workspaces = workspaces
+    def __init__(self, params: ModelParams, images: np.ndarray, samples: int, budget: int,
+                 cores: Optional[int], training: bool = True) -> None:
+        self.step = min(max(1, samples), _chunk_size(params, images, budget))
+        lanes = max(1, min(2, cores or _usable_cores(), -(-samples // self.step)))
+        self.workspaces = tuple(_Workspace(self.step, images, params.conv_kernels, training)
+                                for _ in range(lanes))
         self._helper: Optional[ThreadPoolExecutor] = None
 
     def __enter__(self) -> "_Lanes":
@@ -315,24 +312,21 @@ def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
     return out, keep
 
 
-def _draw_units() -> int:
-    """Units per dropout draw: whole 64-bit words of 4 units."""
-    return 4 * max(1, _BLOCK_BYTES // 128)
-
-
-def _draw_keep(keep: np.ndarray, rate: float, rng: Optional[np.random.Generator],
-               compare: Optional[np.ndarray] = None) -> None:
+def _draw_keep(keep: np.ndarray, rate: float, rng: Optional[np.random.Generator]) -> None:
     """AND dropout's training draw into the contiguous boolean *keep* in
-    place, each block's comparison in *compare* if given."""
+    place, block by block, each block's comparison in one compare block."""
     if rng is None:
         raise ValueError("training-mode dropout needs a generator")
     flat = keep.reshape(-1)  # a view, as keep is contiguous
-    units = _draw_units()
+    units = 4 * max(1, _BLOCK_BYTES // 128)  # whole 64-bit words of 4 units
+    # one compare block per draw, not per workspace: kept in the workspaces,
+    # it put wire-300 at 37-40K minor faults per cycle in 5 of 7 processes, against 20-21K
+    compare = np.empty(min(units, flat.size), dtype=bool)
     for start in range(0, flat.size, units):
         block = flat[start : start + units]
         bits = rng.bit_generator.random_raw(math.ceil(block.size / 4)).view("<u2")
         block &= np.greater_equal(bits[: block.size], round(rate * 2 ** 16),
-                                  out=None if compare is None else compare[: block.size])
+                                  out=compare[: block.size])
 
 
 def _survivor_scale(dtype: np.dtype, rate: float, training: bool):
@@ -386,7 +380,7 @@ def forward(params: ModelParams, batch: np.ndarray, config: TrainConfig,
     gate = np.greater(act, 0, out=workspace.gate[: len(act)])
     if training and config.dropout_rate > 0.0:
         with workspace.turn("draw"):
-            _draw_keep(gate, config.dropout_rate, rng, workspace.compare)
+            _draw_keep(gate, config.dropout_rate, rng)
     act *= gate
     scale = _survivor_scale(act.dtype, config.dropout_rate, training)
     flat = act.reshape(batch.shape[0], -1)
@@ -468,35 +462,32 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
                         lanes: Optional[_Lanes] = None) -> tuple[float, ModelParams]:
     """Training-mode loss and mean gradients of one mini-batch.
 
-    The mini-batch is *images*, or images[index] gathered chunk by chunk.
-    It runs in chunks of consecutive samples, each conv output within
-    CHUNK_BYTES; later chunks add their exact partial sums to the first's.
-    Dropout masks are drawn chunk by chunk in sample order, which gives the
-    bits of one whole-batch draw. A batch that fits one chunk runs as one.
-    The gradients go into *into*'s arrays or new ones. Chunks run on *lanes*
-    (fit's) or, in a public call, on the caller.
+    The mini-batch is images[index] (default: every image), each chunk of
+    lanes.step consecutive samples gathered into its lane's workspace;
+    later chunks add their exact partial sums to the first's. Dropout masks
+    are drawn chunk by chunk in sample order, which gives the bits of one
+    whole-batch draw. The gradients go into *into*'s arrays or new ones.
+    Chunks run on *lanes* (fit's, with fit's index) or, in a public call, on
+    the caller, each conv output within CHUNK_BYTES; a public index follows
+    numpy's rules, so one out of range raises IndexError.
     """
-    n = images.shape[0] if index is None else len(index)
-    step = _chunk_size(params, images, CHUNK_BYTES)
-    parts = [slice(start, start + step) for start in range(0, n, step)]
-    losses = [0.0] * len(parts)
     if lanes is None:  # a public call: buffers for this call alone
-        lanes = _Lanes((_Workspace(min(step, n), images, params.conv_kernels),))
+        index = np.arange(len(images))[slice(None) if index is None else index]
+        lanes = _Lanes(params, images, len(index), CHUNK_BYTES, cores=1)
+    n = len(index)
+    parts = [slice(start, start + lanes.step) for start in range(0, n, lanes.step)]
+    losses = [0.0] * len(parts)
     if into is None:  # the first chunk writes over it
         into = params.astype(np.result_type(params.dense_weights, images))
 
     def work(k: int, workspace: _Workspace) -> None:
-        part = parts[k]
-        if index is None:
-            chunk = images[part]
-        elif workspace.chunk is None:
-            chunk = images[index[part]]
-        else:  # fit's index is a permutation, so "clip" clips nothing; "raise" would buffer
-            chunk = np.take(images, index[part], axis=0, out=workspace.chunk[: len(index[part])],
-                            mode="clip")
+        part = index[parts[k]]
+        # the index is a permutation (fit's) or in range (a public call's), so "clip"
+        # clips nothing; "raise" would buffer
+        chunk = np.take(images, part, axis=0, out=workspace.chunk[: len(part)], mode="clip")
         losses[k], _ = loss_and_grad(  # each trace is dropped once its gradients exist
             forward(params, chunk, config, rng, training=True, workspace=workspace),
-            labels[part], params, batch_size=n, into=into, overwrite=k == 0)
+            labels[parts[k]], params, batch_size=n, into=into, overwrite=k == 0)
 
     lanes.run(len(parts), work)
     loss = 0.0
@@ -531,23 +522,18 @@ def predict(params: ModelParams, batch: np.ndarray, threshold: float = 0.5, *,
     each conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
     """
     _check_batch(params, batch)
-    n, step = batch.shape[0], _chunk_size(params, batch, PREDICT_CHUNK_BYTES)
-    dtype = np.result_type(params.dense_weights, batch)
-    probs = np.empty((n, N_CLASSES), dtype)
+    n = batch.shape[0]
+    probs = np.empty((n, N_CLASSES), np.result_type(params.dense_weights, batch))
+    with _Lanes(params, batch, n, PREDICT_CHUNK_BYTES, cores, training=False) as lanes:
+        def work(k: int, workspace: _Workspace) -> None:
+            part = slice(k * lanes.step, (k + 1) * lanes.step)
+            act = conv2d_same(batch[part], params.conv_kernels, params.conv_bias,
+                              workspace=workspace)
+            np.maximum(act, 0, out=act)  # ReLU
+            logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
+            probs[part] = softmax_output(logits)
 
-    def work(k: int, workspace: _Workspace) -> None:
-        part = slice(k * step, (k + 1) * step)
-        act = conv2d_same(batch[part], params.conv_kernels, params.conv_bias,
-                          workspace=workspace)
-        np.maximum(act, 0, out=act)  # ReLU
-        logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
-        probs[part] = softmax_output(logits)
-
-    chunks = -(-n // step)
-    workspaces = tuple(_Workspace(min(step, n), batch, params.conv_kernels, training=False)
-                       for _ in range(_lane_count(chunks, cores)))
-    with _Lanes(workspaces) as lanes:
-        lanes.run(chunks, work)
+        lanes.run(-(-n // lanes.step), work)
     labels = (probs[:, 1] > threshold).astype(np.int64)
     return labels, probs
 
@@ -584,14 +570,12 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     if train.side != config.side:
         raise ShapeMismatch(f"dataset side {train.side} != config side {config.side}")
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
-    batch = min(config.batch_size, len(train))
-    chunk = min(batch, _chunk_size(params, train.images, CHUNK_BYTES))
-    chunks = -(-batch // chunk)
-    workspaces = tuple(_Workspace(chunk, train.images, params.conv_kernels, gather=chunks > 1)
-                       for _ in range(_lane_count(chunks, cores)))
-    pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
     history: list[EpochStats] = []
-    with _Lanes(workspaces) as lanes:
+    with _Lanes(params, train.images, min(config.batch_size, len(train)), CHUNK_BYTES,
+                cores) as lanes:
+        # the lanes' buffers before the model pair: built after it, wire-300
+        # peaked at 265-281 MiB RSS against 256-260 MiB (4 of 4 processes)
+        pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
         for epoch in range(config.epochs):
             order = rng.permutation(len(train))
             losses = []

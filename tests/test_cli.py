@@ -438,6 +438,48 @@ def test_a_timeout_that_is_not_a_positive_finite_number_exits_two(
     assert not (tmp_path / "never.frwm").exists()
 
 
+@pytest.mark.parametrize("command", ["serve", "client"])
+@pytest.mark.parametrize("address", ["127.0.0.1:65536", "127.0.0.1:99999"])
+def test_a_port_outside_0_to_65535_exits_two_naming_the_address(
+        small_corpus, tmp_path, capsys, command, address):
+    if command == "serve":
+        argv = ["serve", "--bind", address, "--clients", "1", "--side", "16",
+                "--checkpoint-out", str(tmp_path / "never.frwm")]
+    else:
+        argv = ["client", "--connect", address, "--side", "16", "--local-epochs", "1",
+                "--batch", "4", "--manifest", str(small_corpus / "manifest.val.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert address in err and "Traceback" not in err
+    assert not (tmp_path / "never.frwm").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "ini"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("value", ["-0.5", "1.5", "nan", "inf"])
+def test_a_threshold_outside_0_to_1_exits_two(small_corpus, tmp_path, capsys,
+                                              source, command, value):
+    ckpt = tmp_path / "ck.frwm"
+    checkpoint.save_params(nn.init_params(16, 3), ckpt)
+    manifest = small_corpus / "manifest.test.jsonl"
+    argv = [command, "--checkpoint", str(ckpt)]
+    if command == "eval":
+        argv += ["--manifest", str(manifest)]
+    else:
+        argv.append(str(small_corpus / corpus.read_manifest(manifest).entries[0].path))
+    if source == "flag":
+        argv += ["--threshold", value]
+    else:
+        (tmp_path / "settings.ini").write_text(f"[train]\nthreshold = {value}\n")
+        argv += ["--config", str(tmp_path / "settings.ini")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "threshold" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, named", [
     ("[train]\nlearning_rate = 0.5\n", "learning_rate"),
     ("[train]\nclients = 7\n", "clients"),

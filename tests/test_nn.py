@@ -465,6 +465,26 @@ def test_fit_gathering_chunks_by_index_equals_fit_on_gathered_batches(monkeypatc
                                                float(np.mean(losses[2:]))]
 
 
+def test_a_public_index_follows_numpys_rules():
+    # an index out of range raises, and a negative one counts from the end:
+    # gathered with "clip" alone, [0, 99] read images[[0, 9]] and [-1, 0] images[[0, 0]]
+    side = 8
+    rng = np.random.default_rng(36)
+    images = rng.random((10, 1, side, side))
+    labels = one_hot(rng.integers(0, 2, 2)).astype(np.float64)
+    cfg = nn.TrainConfig(side=side)
+    params = nn.init_params(side, 3).astype(np.float64)
+    with pytest.raises(IndexError):
+        nn.batch_loss_and_grad(params, images, labels, cfg, np.random.default_rng(0),
+                               index=[0, 99])
+    loss, grads = nn.batch_loss_and_grad(params, images, labels, cfg, np.random.default_rng(0),
+                                         index=[-1, 0])
+    expected_loss, expected = nn.batch_loss_and_grad(params, images[[-1, 0]], labels, cfg,
+                                                     np.random.default_rng(0))
+    assert loss == expected_loss
+    assert params_equal(grads, expected)
+
+
 def test_fit_leaves_the_callers_model_untouched(monkeypatch):
     # 3 epochs of 3 steps, each in chunks of 3 + 1 (the last 3): every step
     # writes its new model over its gradients, never over the input
