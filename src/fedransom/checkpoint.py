@@ -129,8 +129,13 @@ def params_from_bytes(blob: bytes) -> ModelParams:
 
 
 def save_params(params: ModelParams, path) -> None:
+    """Write *params* to *path*, unless a tensor is not finite in float32, as load_params asks."""
+    buffers = param_buffers(params)
+    for name, arr in zip(_NAMES, buffers[1::2]):
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpoint(f"non-finite values in {name}")
     with open(path, "wb") as fh:
-        fh.writelines(param_buffers(params))
+        fh.writelines(buffers)
 
 
 def load_params(path) -> ModelParams:

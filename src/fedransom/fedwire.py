@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .checkpoint import byte_length, param_buffers, params_from_bytes, read_params
 from .data import Dataset
-from .errors import (ClientCountTimeout, OversizeFrame, ProtocolViolation,
+from .errors import (ClientCountTimeout, EmptyShard, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
 from .fedavg import ClientShard, ClientUpdate, FedConfig, local_train, run_rounds
 from .metrics import EvalReport
@@ -307,10 +307,12 @@ def client_join(address: tuple[str, int], shard: ClientShard,
     A refused connection is retried until *connect_timeout*, then raised. A
     failed read or send, or any protocol surprise, raises ProtocolViolation;
     a GLOBAL for another side than config.side, OversizeFrame from its header;
-    a timeout that is not positive and finite, ValueError before it connects.
-    Every failure but a failed read or send also goes to the server as ERROR.
+    a timeout that is not positive and finite, ValueError, and an empty shard, EmptyShard, before
+    it connects. Every failure but a failed read or send also goes to the server as ERROR.
     """
     _check_timeouts(connect_timeout, idle_timeout)
+    if len(shard) == 0:  # the server would end the whole federation on its hello
+        raise EmptyShard(f"client {shard.client_id} has no samples")
     sock = _connect(address, connect_timeout)
     try:
         sock.settimeout(idle_timeout)

@@ -8,9 +8,9 @@ carries the bias. Training is exact backpropagation with plain mini-batch
 SGD. Each layer has one code path, which runs in a workspace of reused
 buffers; a public call made without one (conv2d_same, forward,
 batch_loss_and_grad) builds a workspace for that call alone. fit and
-predict run a batch's chunks on two lanes, the calling thread and one
-helper thread, each in its own workspace, where the caller passes two or
-more *cores* (by default, every usable core); chunks take their dropout
+predict run a batch's chunks on two lanes, the calling thread and a helper thread
+that each job starts and joins, each in its own workspace, where the caller passes
+two or more *cores* (by default, every usable core); chunks take their dropout
 draws and add their gradients in chunk order, so the lane count changes no bit.
 The dense layer picks each product's kernel by its shape: one gemv per sample
 for the logits (so they do not depend on the chunk) and the activation gradient,
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -64,8 +63,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # learning_rate 0 is allowed so "training changes nothing" holds
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:  # nan compares false
+            raise ValueError("learning_rate must be a finite number >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -218,8 +217,8 @@ class _Lanes:
     each conv output within *budget* bytes; the calling thread and, where
     *cores* (None: every usable core) and the chunks allow, one helper thread,
     so that no pass's buffers grow with the core count; and one workspace per
-    lane. The helper starts at the first job of two chunks or more, and the
-    with-block that makes the lanes shuts it down."""
+    lane. Each job of two chunks or more starts its own helper and joins it
+    before it returns, so the lanes hold no thread and need no closing."""
 
     def __init__(self, params: ModelParams, images: np.ndarray, samples: int, budget: int,
                  cores: Optional[int], training: bool = True) -> None:
@@ -227,14 +226,6 @@ class _Lanes:
         lanes = max(1, min(2, cores or _usable_cores(), -(-samples // self.step)))
         self.workspaces = tuple(_Workspace(self.step, images, params.conv_kernels, training)
                                 for _ in range(lanes))
-        self._helper: Optional[ThreadPoolExecutor] = None
-
-    def __enter__(self) -> "_Lanes":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._helper is not None:
-            self._helper.shutdown(wait=True)
 
     def run(self, chunks: int, work: Callable[[int, _Workspace], None]) -> None:
         """work(k, workspace) for each chunk k < chunks, on lane k % lanes.
@@ -242,14 +233,14 @@ class _Lanes:
         lanes = max(1, min(chunks, len(self.workspaces)))
         order, helper = _Order(), None
         if lanes > 1:
-            if self._helper is None:
-                self._helper = ThreadPoolExecutor(1, thread_name_prefix="fedransom-lane")
-            helper = self._helper.submit(self._lane, 1, 2, order, chunks, work)
+            helper = threading.Thread(target=self._lane, args=(1, 2, order, chunks, work),
+                                      name="fedransom-lane")
+            helper.start()
         try:
             self._lane(0, lanes, order, chunks, work)
         finally:
             if helper is not None:
-                helper.result()
+                helper.join()
         if order.failures:
             raise order.failures[min(order.failures)]
 
@@ -499,8 +490,8 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float, *,
              out: Optional[ModelParams] = None) -> ModelParams:
     """p <- p - lr * g, elementwise, into new arrays or into *out*'s, which may be grads'."""
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
+    if not 0 <= learning_rate < math.inf:
+        raise ValueError("learning_rate must be a finite number >= 0")
     new = {}
     for name, p in params.named().items():
         g = grads.named()[name]
@@ -519,21 +510,23 @@ def predict(params: ModelParams, batch: np.ndarray, threshold: float = 0.5, *,
     A sample is called ransomware (1) when its class-1 probability strictly
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
     tie resolved to class 0. Chunks run on two lanes where *cores* allow,
-    each conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's.
+    each conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's;
+    the pass starts its helper thread and joins it before it returns.
     """
     _check_batch(params, batch)
     n = batch.shape[0]
     probs = np.empty((n, N_CLASSES), np.result_type(params.dense_weights, batch))
-    with _Lanes(params, batch, n, PREDICT_CHUNK_BYTES, cores, training=False) as lanes:
-        def work(k: int, workspace: _Workspace) -> None:
-            part = slice(k * lanes.step, (k + 1) * lanes.step)
-            act = conv2d_same(batch[part], params.conv_kernels, params.conv_bias,
-                              workspace=workspace)
-            np.maximum(act, 0, out=act)  # ReLU
-            logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
-            probs[part] = softmax_output(logits)
+    lanes = _Lanes(params, batch, n, PREDICT_CHUNK_BYTES, cores, training=False)
 
-        lanes.run(-(-n // lanes.step), work)
+    def work(k: int, workspace: _Workspace) -> None:
+        part = slice(k * lanes.step, (k + 1) * lanes.step)
+        act = conv2d_same(batch[part], params.conv_kernels, params.conv_bias,
+                          workspace=workspace)
+        np.maximum(act, 0, out=act)  # ReLU
+        logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
+        probs[part] = softmax_output(logits)
+
+    lanes.run(-(-n // lanes.step), work)
     labels = (probs[:, 1] > threshold).astype(np.int64)
     return labels, probs
 
@@ -558,8 +551,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
 
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
-    Each mini-batch goes through batch_loss_and_grad, in chunks that bound
-    its memory, on two lanes where *cores* allow, as do its accuracy passes.
+    Each mini-batch goes through batch_loss_and_grad, in chunks that bound its memory, on
+    two lanes where *cores* allow, as do its accuracy passes; each starts and joins its helper.
     Steps write their models over their gradients in two private sets of
     arrays, never the caller's, which clients may share.
     Without *score_train* the per-epoch pass over the training set is
@@ -571,26 +564,25 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         raise ShapeMismatch(f"dataset side {train.side} != config side {config.side}")
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
     history: list[EpochStats] = []
-    with _Lanes(params, train.images, min(config.batch_size, len(train)), CHUNK_BYTES,
-                cores) as lanes:
-        # the lanes' buffers before the model pair: built after it, wire-300
-        # peaked at 265-281 MiB RSS against 256-260 MiB (4 of 4 processes)
-        pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(train))
-            losses = []
-            for start in range(0, len(train), config.batch_size):
-                idx = order[start : start + config.batch_size]
-                loss, grads = batch_loss_and_grad(params, train.images, labels[idx], config, rng,
-                                                  index=idx, into=pair[0], lanes=lanes)
-                if not math.isfinite(loss):
-                    raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
-                params, pair = sgd_step(params, grads, config.learning_rate, out=grads), pair[::-1]
-                losses.append(loss)
-            history.append(EpochStats(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)),
-                train_accuracy=accuracy(params, train, cores) if score_train else None,
-                val_accuracy=accuracy(params, val, cores) if val is not None and len(val) else None,
-            ))
+    lanes = _Lanes(params, train.images, min(config.batch_size, len(train)), CHUNK_BYTES, cores)
+    # the lanes' buffers before the model pair: built after it, wire-300
+    # peaked at 265-281 MiB RSS against 256-260 MiB (4 of 4 processes)
+    pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(train))
+        losses = []
+        for start in range(0, len(train), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grads = batch_loss_and_grad(params, train.images, labels[idx], config, rng,
+                                              index=idx, into=pair[0], lanes=lanes)
+            if not math.isfinite(loss):
+                raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
+            params, pair = sgd_step(params, grads, config.learning_rate, out=grads), pair[::-1]
+            losses.append(loss)
+        history.append(EpochStats(
+            epoch=epoch,
+            train_loss=float(np.mean(losses)),
+            train_accuracy=accuracy(params, train, cores) if score_train else None,
+            val_accuracy=accuracy(params, val, cores) if val is not None and len(val) else None,
+        ))
     return params, history

@@ -118,6 +118,18 @@ def test_non_finite_values_rejected():
         checkpoint.params_from_bytes(checkpoint.params_to_bytes(params))
 
 
+@pytest.mark.parametrize("dtype, value", [(np.float32, np.nan), (np.float64, 1e39)],
+                         ids=["nan", "past-float32"])
+def test_save_params_refuses_a_model_load_params_would_reject(tmp_path, dtype, value):
+    path = tmp_path / "model.frwm"
+    path.write_bytes(b"an earlier file")
+    params = random_params(side=8, seed=4, dtype=dtype)
+    params.dense_weights[1, 5] = value
+    with pytest.raises(CorruptCheckpoint, match="non-finite values in dense_weights"):
+        checkpoint.save_params(params, path)
+    assert path.read_bytes() == b"an earlier file"
+
+
 @pytest.mark.parametrize("head", [b"", b"FRWM"], ids=["zeros", "magic"])
 def test_load_params_rejects_a_huge_file_before_reading_it(tmp_path, head):
     path = tmp_path / "big.bin"

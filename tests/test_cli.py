@@ -230,6 +230,50 @@ def test_training_on_an_empty_manifest_exits_one_with_one_error_line(tmp_path, c
     assert not (tmp_path / "never.frwm").exists()
 
 
+def test_client_on_an_empty_manifest_exits_one_before_it_connects(tmp_path, capsys):
+    (tmp_path / "empty.jsonl").write_text("")
+    with socket.create_server(("127.0.0.1", 0)) as held:  # never accepts
+        held.setblocking(False)
+        rc = run_cli("client", "--connect", "%s:%d" % held.getsockname(), "--side", "16",
+                     "--manifest", str(tmp_path / "empty.jsonl"), "--idle-timeout", "1")
+        with pytest.raises(BlockingIOError):
+            held.accept()
+    assert rc == 1
+    assert capsys.readouterr().err == "fedransom: error: client client-0 has no samples\n"
+
+
+@pytest.mark.parametrize("command", ["train", "fedtrain"])
+@pytest.mark.parametrize("source, value", [("flag", "nan"), ("flag", "inf"), ("ini", "nan")])
+def test_a_learning_rate_that_is_not_a_finite_number_at_least_zero_exits_two(
+        small_corpus, tmp_path, capsys, command, source, value):
+    never = tmp_path / "never.frwm"
+    argv = [command, "--manifest", str(small_corpus / "manifest.train.jsonl"), "--side", "16",
+            "--checkpoint-out", str(never)]
+    argv += ["--epochs", "1"] if command == "train" else ["--rounds", "1", "--local-epochs", "1"]
+    if source == "flag":
+        argv += ["--lr", value]
+    else:
+        (tmp_path / "settings.ini").write_text(f"[train]\nlr = {value}\n")
+        argv += ["--config", str(tmp_path / "settings.ini")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not never.exists()
+
+
+def test_train_whose_model_overflows_float32_exits_one_without_a_checkpoint(
+        small_corpus, tmp_path, capsys):
+    never = tmp_path / "never.frwm"
+    rc = run_cli("train", "--manifest", str(small_corpus / "manifest.train.jsonl"), "--side", "16",
+                 "--lr", "1e39", "--batch", "64", "--epochs", "1", "--checkpoint-out", str(never))
+    assert rc == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("fedransom: error: non-finite values in ")
+    assert last.split()[-1] in nn.ModelParams.__dataclass_fields__
+    assert not never.exists()
+
+
 def test_train_with_an_empty_val_manifest_reports_on_the_training_set(small_corpus, tmp_path):
     (tmp_path / "empty.jsonl").write_text("")
     args = ["train", "--manifest", str(small_corpus / "manifest.train.jsonl"), "--side", "16",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedransom import checkpoint, fedavg, fedwire, nn
-from fedransom.errors import (ClientCountTimeout, FedransomError, OversizeFrame,
+from fedransom.errors import (ClientCountTimeout, EmptyShard, FedransomError, OversizeFrame,
                               ProtocolViolation, TruncatedFrame, UnknownFrameType)
 from fedransom.fedavg import FedConfig, partition, run_federation
 from fedransom.fedwire import (MSG_ERROR, MSG_FIN, MSG_GLOBAL, MSG_HELLO,
@@ -419,6 +419,20 @@ def test_client_join_refused_on_dead_address():
     shard = partition(tiny_dataset(n=4, side=8, seed=0), 1, seed=0)[0]
     with pytest.raises(OSError):
         client_join(address, shard, nn.TrainConfig(side=8), connect_timeout=2.0)
+
+
+def test_client_join_refuses_an_empty_shard_before_it_connects():
+    # the server ends every client's federation on a hello of no samples
+    listener = _free_listener()
+    listener.setblocking(False)
+    empty = fedavg.ClientShard("empty", tiny_dataset(n=4, side=8, seed=0).subset([]))
+    try:
+        with pytest.raises(EmptyShard, match="client empty has no samples"):
+            client_join(listener.getsockname(), empty, nn.TrainConfig(side=8), idle_timeout=1.0)
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+    finally:
+        listener.close()
 
 
 _BAD_TIMEOUTS = [-1.0, 0.0, math.inf, math.nan]

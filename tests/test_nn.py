@@ -285,6 +285,15 @@ def test_sgd_shape_mismatch():
         nn.sgd_step(random_params(side=8, seed=0), random_params(side=10, seed=0), 0.1)
 
 
+@pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
+def test_a_learning_rate_that_is_not_a_finite_number_at_least_zero_is_rejected(rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        nn.TrainConfig(learning_rate=rate)
+    params = random_params(side=8, seed=0)
+    with pytest.raises(ValueError, match="learning_rate"):
+        nn.sgd_step(params, params, rate)
+
+
 def test_fit_with_zero_learning_rate_changes_nothing():
     train = tiny_dataset(n=20, side=8, seed=1)
     cfg = nn.TrainConfig(side=8, learning_rate=0.0, epochs=2, batch_size=8)
@@ -552,13 +561,18 @@ def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_
     cfg = nn.TrainConfig(side=side, epochs=2, batch_size=batch_size, learning_rate=0.05)
     monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
     monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
-    real_forward, real_conv2d_same, runs = nn.forward, nn.conv2d_same, {}
+    real_forward, real_conv2d_same, real_sgd_step = nn.forward, nn.conv2d_same, nn.sgd_step
+    runs = {}
     for lanes in (1, 2):
-        threads, conv_threads = set(), set()
+        steps, conv_threads = [[]], set()  # per step, (thread, samples) of each chunk
 
-        def recorded(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return real_forward(*args, **kwargs)
+        def recorded(params, chunk, *args, **kwargs):
+            steps[-1].append((threading.get_ident(), len(chunk)))
+            return real_forward(params, chunk, *args, **kwargs)
+
+        def step_boundary(*args, **kwargs):
+            steps.append([])
+            return real_sgd_step(*args, **kwargs)
 
         def recorded_conv(*args, **kwargs):  # in forward and in the accuracy pass
             conv_threads.add(threading.get_ident())
@@ -566,6 +580,7 @@ def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_
 
         monkeypatch.setattr(nn, "forward", recorded)
         monkeypatch.setattr(nn, "conv2d_same", recorded_conv)
+        monkeypatch.setattr(nn, "sgd_step", step_boundary)
         monkeypatch.setattr(nn, "_usable_cores", lambda: lanes)
         cores = None
         if by_argument:
@@ -575,7 +590,11 @@ def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_
         fitted, history = nn.fit(nn.init_params(side, 5).astype(dtype), train, cfg, rng,
                                  cores=cores)
         runs[lanes] = fitted, history, rng.bit_generator.state
-        assert len(threads) == min(lanes, chunks)
+        # each step starts a helper of its own, so only within a step do the
+        # threads count the lanes: across steps an ident repeats only by chance
+        full = [{ident for ident, _ in step} for step in steps
+                if sum(n for _, n in step) == batch_size]
+        assert full and all(len(threads) == min(lanes, chunks) for threads in full)
         # each accuracy pass starts a helper of its own, which may get a new ident
         assert (len(conv_threads) > 1) == (lanes > 1)
     (one, one_history, one_state), (two, two_history, two_state) = runs[1], runs[2]
@@ -583,6 +602,30 @@ def test_fit_on_two_lanes_equals_one_lane_bit_for_bit(monkeypatch, dtype, batch_
     assert params_equal(two, one)
     assert two_history == one_history
     assert two_state == one_state
+
+
+def test_no_lane_thread_is_alive_between_the_steps_of_a_fit(monkeypatch):
+    # chunks of 3 in batches of 6: each of the 4 steps runs its 2 chunks on 2 lanes
+    side = 12
+    train = tiny_dataset(n=12, side=side, seed=39)
+    cfg = nn.TrainConfig(side=side, epochs=2, batch_size=6, learning_rate=0.05)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(3, side, itemsize=4))
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+    real_forward, real_sgd_step, ran, live = nn.forward, nn.sgd_step, set(), []
+
+    def recorded(*args, **kwargs):
+        ran.add(threading.current_thread().name)
+        return real_forward(*args, **kwargs)
+
+    def between_steps(*args, **kwargs):
+        live.append([t.name for t in threading.enumerate() if t.name.startswith("fedransom-lane")])
+        return real_sgd_step(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", recorded)
+    monkeypatch.setattr(nn, "sgd_step", between_steps)
+    nn.fit(nn.init_params(side, 5), train, cfg, np.random.default_rng(11))
+    assert "fedransom-lane" in ran
+    assert live == [[]] * 4
 
 
 def test_concurrent_fits_on_two_lanes_each_equal_one_lane_fits(monkeypatch):
