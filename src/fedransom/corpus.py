@@ -243,18 +243,22 @@ def scan_tree(root) -> Manifest:
 
     The label comes from the nearest ancestor directory whose name contains
     a benign or ransomware hint (for example samples/goodware/x.exe is
-    label 0, samples/ransom-2024/y.bin is label 1).
+    label 0, samples/ransom-2024/y.bin is label 1); a file under no such
+    directory raises CorruptManifest. Files are hashed 1 MiB at a time.
     """
     root = Path(root)
     entries = []
+    block = memoryview(bytearray(1 << 20))
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         label = _label_from_path(path.relative_to(root))
         if label is None:
-            raise ValueError(f"cannot infer a label from the directories of {path}")
-        blob = path.read_bytes()
-        entries.append(ManifestEntry(
-            path=str(path.relative_to(root)), label=label, size=len(blob),
-            sha256=hashlib.sha256(blob).hexdigest()))
+            raise CorruptManifest(f"cannot infer a label from the directories of {path}")
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while n := fh.readinto(block):
+                digest.update(block[:n])
+        entries.append(ManifestEntry(str(path.relative_to(root)), label, path.stat().st_size,
+                                     digest.hexdigest()))
     return Manifest(tuple(entries), root)
 
 

@@ -12,6 +12,7 @@ loopback wire federation replays the in-process engine.
 
 from __future__ import annotations
 
+import re
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -64,28 +65,17 @@ class ClientUpdate:
     n_samples: int
 
 
-def client_ordinal(client_id: str) -> int:
-    """Stable integer identity for a client, used to derive its rng stream.
+def client_stream_seed(seed: int, client_id: str, round_index: int) -> int:
+    """Seed of a client's random stream (shuffles and dropout) in one round.
 
-    Ids shaped like "client-3" map to their trailing integer; anything else
-    falls back to a crc of the full id.
+    "client-<k>", as partition names its shards (k in ASCII digits, no leading
+    zero, below 10**9), is client k; any other id is 2**32 plus the crc32 of its
+    UTF-8 bytes. Only the mix is masked to 64 bits, so client 0 at round 0 keeps
+    any base seed and a one-client federation replays centralized training.
     """
-    digits = ""
-    for ch in reversed(client_id):
-        if ch.isdigit():
-            digits = ch + digits
-        else:
-            break
-    if digits:
-        return int(digits)
-    return zlib.crc32(client_id.encode("utf-8"))
-
-
-def client_stream_seed(seed: int, client_index: int, round_index: int) -> int:
-    """Per-(client, round) seed; client 0 at round 0 reduces to the base seed,
-    so a one-client federation replays centralized training bit for bit."""
-    mix = (client_index * _MIX_CLIENT + round_index * _MIX_ROUND) & _MASK64
-    return (seed ^ mix) & _MASK64
+    match = re.fullmatch(r"client-(0|[1-9][0-9]{0,8})", client_id)
+    ordinal = int(match[1]) if match else (1 << 32) + zlib.crc32(client_id.encode("utf-8"))
+    return seed ^ ((ordinal * _MIX_CLIENT + round_index * _MIX_ROUND) & _MASK64)
 
 
 def partition_indices(n: int, n_clients: int, seed: int) -> list[np.ndarray]:
@@ -124,8 +114,7 @@ def local_train(global_params: ModelParams, shard: ClientShard, config: TrainCon
     """
     if len(shard) == 0:
         raise EmptyShard(f"client {shard.client_id} has no samples")
-    rng = np.random.default_rng(
-        client_stream_seed(config.seed, client_ordinal(shard.client_id), round_index))
+    rng = np.random.default_rng(client_stream_seed(config.seed, shard.client_id, round_index))
     params, _ = fit(global_params, shard.samples, config, rng, score_train=False, cores=cores)
     return ClientUpdate(client_id=shard.client_id, round_index=round_index,
                         params=params, n_samples=len(shard))

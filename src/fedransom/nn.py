@@ -460,10 +460,12 @@ def batch_loss_and_grad(params: ModelParams, images: np.ndarray, labels: np.ndar
     whole-batch draw. The gradients go into *into*'s arrays or new ones.
     Chunks run on *lanes* (fit's, with fit's index) or, in a public call, on
     the caller, each conv output within CHUNK_BYTES; a public index follows
-    numpy's rules, so one out of range raises IndexError.
+    numpy's rules, so one out of range raises IndexError; none, EmptyDataset.
     """
     if lanes is None:  # a public call: buffers for this call alone
         index = np.arange(len(images))[slice(None) if index is None else index]
+        if len(index) == 0:
+            raise EmptyDataset("cannot take a step on an empty mini-batch")
         lanes = _Lanes(params, images, len(index), CHUNK_BYTES, cores=1)
     n = len(index)
     parts = [slice(start, start + lanes.step) for start in range(0, n, lanes.step)]

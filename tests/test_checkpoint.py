@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import params_equal, random_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedransom import checkpoint, fedwire, nn
 from fedransom.errors import CorruptCheckpoint, ShapeMismatch
@@ -144,3 +146,33 @@ def test_load_params_rejects_a_huge_file_before_reading_it(tmp_path, head):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+_SIDE_8 = checkpoint.params_to_bytes(random_params(side=8, seed=9))
+
+
+@st.composite
+def _damaged_side_8(draw):
+    """A side-8 checkpoint with bytes flipped, cut short or appended, or random bytes."""
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "random"]))
+    blob = bytearray(_SIDE_8)
+    if kind == "flip":
+        for at in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=8)):
+            blob[at] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "append":
+        blob += draw(st.binary(min_size=1, max_size=64))
+    else:
+        blob = bytearray(draw(st.binary(max_size=2 * len(_SIDE_8))))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_side_8())
+def test_a_damaged_checkpoint_loads_or_raises_corrupt_checkpoint(blob):
+    try:
+        params = checkpoint.params_from_bytes(blob)
+    except CorruptCheckpoint:
+        return
+    assert isinstance(params, nn.ModelParams) and params.side == 8

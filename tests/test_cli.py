@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from helpers import params_equal
 
-from fedransom import checkpoint, corpus, metrics, nn
+from fedransom import checkpoint, corpus, fedavg, metrics, nn
 from fedransom.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -480,6 +480,31 @@ def test_a_timeout_that_is_not_a_positive_finite_number_exits_two(
     assert exc.value.code == 2
     assert name in capsys.readouterr().err.replace("-", "_")
     assert not (tmp_path / "never.frwm").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_client_with_zero_local_epochs_exits_two_before_it_connects(
+        small_corpus, tmp_path, capsys, source):
+    # serve and fedtrain reject the value through FedConfig, with the same message
+    with pytest.raises(ValueError) as rule:
+        fedavg.FedConfig(local_epochs=0)
+    assert "local_epochs must be positive" in str(rule.value)
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        address = "%s:%d" % held.getsockname()
+        argv = ["client", "--connect", address, "--side", "16", "--batch", "4",
+                "--idle-timeout", "1", "--manifest", str(small_corpus / "manifest.val.jsonl")]
+        if source == "flag":
+            argv += ["--local-epochs", "0"]
+        else:
+            (tmp_path / "settings.ini").write_text("[fed]\nlocal_epochs = 0\n")
+            argv += ["--config", str(tmp_path / "settings.ini")]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        held.setblocking(False)
+        with pytest.raises(BlockingIOError):  # no connection is waiting
+            held.accept()
+    assert exc.value.code == 2
+    assert "local_epochs must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["serve", "client"])

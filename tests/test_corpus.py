@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -9,8 +10,8 @@ from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
                               read_manifest, scan_tree, split, synth_benign,
                               synth_ransomlike, write_manifest)
 from fedransom.data import from_images
-from fedransom.errors import (CorruptManifest, EmptyDataset, EmptyInput, InvalidSplitSpec,
-                              SizeTooSmall, TooFewSamples)
+from fedransom.errors import (CorruptManifest, EmptyDataset, EmptyInput, FedransomError,
+                              InvalidSplitSpec, SizeTooSmall, TooFewSamples)
 from fedransom.imaging import bytes_to_image, entropy_profile, shannon_entropy
 
 
@@ -251,3 +252,25 @@ def test_scan_tree_rejects_unlabellable_files(tmp_path):
     (tmp_path / "stuff" / "a.bin").write_bytes(b"x")
     with pytest.raises(ValueError):
         scan_tree(tmp_path)
+
+
+def test_scan_tree_names_an_unlabellable_file_with_a_typed_error(tmp_path):
+    (tmp_path / "stuff").mkdir()
+    (tmp_path / "stuff" / "a.bin").write_bytes(b"x")
+    with pytest.raises(FedransomError, match="a.bin"):
+        scan_tree(tmp_path)
+
+
+def test_scan_tree_hashes_a_large_file_in_blocks(tmp_path):
+    blob = np.random.default_rng(0).bytes(9 << 20)
+    (tmp_path / "ransom").mkdir()
+    (tmp_path / "ransom" / "big.bin").write_bytes(blob)
+    tracemalloc.start()
+    try:
+        (entry,) = scan_tree(tmp_path).entries
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
+    assert entry.size == len(blob)
+    assert entry.sha256 == hashlib.sha256(blob).hexdigest()

@@ -68,9 +68,30 @@ def test_single_client_partition_preserves_dataset_order():
 
 
 def test_client_stream_reduces_to_base_seed_for_first_client():
-    assert client_stream_seed(42, 0, 0) == 42
-    assert client_stream_seed(42, 1, 0) != 42
-    assert client_stream_seed(42, 0, 1) != 42
+    assert client_stream_seed(42, "client-0", 0) == 42
+    assert client_stream_seed(42, "client-1", 0) != 42
+    assert client_stream_seed(42, "client-0", 1) != 42
+
+
+def test_a_partition_id_keeps_its_stream():
+    # pinned values: every id partition gives keeps the stream of the digit-scan rule
+    assert [client_stream_seed(42, f"client-{k}", r)
+            for k, r in [(0, 0), (1, 0), (2, 3), (7, 29), (999, 5)]] == [
+        42, 11400714819323198527, 9549599518208801341, 7044211458827619500,
+        4033371564728831572]
+    assert client_stream_seed(2**64 - 1, "client-2", 1) == 62591141875686534
+
+
+def test_distinct_client_ids_draw_distinct_streams():
+    # a rule that reads an id's trailing digits gives each pair one stream
+    pairs = [("alice-1", "bob-1"), ("client-01", "client-1"), ("client-\u0663", "client-3"),
+             ("", "client-0")]
+    for a, b in pairs:
+        assert client_stream_seed(5, a, 0) != client_stream_seed(5, b, 0), (a, b)
+    # an id whose digits int() rejects gets a seed too
+    ids = [i for pair in pairs for i in pair]
+    ids += ["node\u00b2", "node-" + "7" * 5000, "client-999999999"]
+    assert len({client_stream_seed(5, i, 0) for i in ids}) == len(ids) == 11
 
 
 def _update(client_id, value, n, round_index=0, side=8):
@@ -208,7 +229,7 @@ def test_local_train_equals_fit_and_skips_accuracy_passes(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(nn, "accuracy", no_accuracy)
         update = local_train(global_params, ClientShard("client-2", ds), cfg, round_index=3)
-    stream = np.random.default_rng(client_stream_seed(cfg.seed, 2, 3))
+    stream = np.random.default_rng(client_stream_seed(cfg.seed, "client-2", 3))
     fitted, history = nn.fit(global_params, ds, cfg, stream)
     assert params_equal(update.params, fitted)
     assert [h.train_accuracy is not None for h in history] == [True, True]
@@ -233,6 +254,16 @@ def test_single_client_federation_equals_centralized_fit():
                         np.random.default_rng(seed))
     assert params_equal(fed_params, central)
     assert len(reports) == 1
+
+
+def test_single_client_federation_equals_centralized_fit_at_a_seed_past_64_bits():
+    ds = tiny_dataset(n=12, side=8, seed=6)
+    seed = 2**64 + 7
+    fed = FedConfig(n_clients=1, n_rounds=1, local_epochs=2, batch_size=4, seed=seed)
+    train_cfg = nn.TrainConfig(side=8, epochs=2, batch_size=4, seed=seed)
+    fed_params, _ = run_federation(ds, fed, train_cfg)
+    central, _ = nn.fit(nn.init_params(8, seed), ds, train_cfg, np.random.default_rng(seed))
+    assert params_equal(fed_params, central)
 
 
 def test_zero_learning_rate_federation_is_a_fixed_point():

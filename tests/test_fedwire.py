@@ -884,3 +884,57 @@ def test_client_join_names_the_server_for_a_failed_read():
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+_WEIGHTS_8 = encode_frame(MSG_UPDATE, encode_weight_blob(0, 3, random_params(8, 21)))
+
+
+@st.composite
+def _noise(draw):
+    """Bytes a broken or hostile peer might send: random bytes; a frame header of
+    a known type, with a random or a plausible length, over random bytes; or a
+    side-8 UPDATE of 3 samples with bytes flipped."""
+    kind = draw(st.sampled_from(["random", "header", "weights"]))
+    if kind == "random":
+        return draw(st.binary(max_size=512))
+    if kind == "header":
+        body = draw(st.binary(max_size=512))
+        length = draw(st.one_of(st.just(len(body)), st.just(len(_WEIGHTS_8) - 5),
+                                st.integers(0, 2**32 - 1)))
+        msg_type = draw(st.sampled_from(sorted(fedwire._KNOWN_TYPES)))
+        return fedwire._HEADER.pack(length, msg_type) + body
+    blob = bytearray(_WEIGHTS_8)
+    for at in draw(st.lists(st.integers(0, len(blob) - 1), max_size=4)):
+        blob[at] ^= draw(st.integers(1, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_noise(), st.sampled_from([None, 8]))
+def test_read_frame_returns_a_frame_or_raises_a_typed_error_on_any_bytes(data, side):
+    try:
+        frame = _read_sent(data, side)
+    except FedransomError:
+        return
+    assert frame is None or isinstance(frame, Frame)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_noise(), st.booleans())
+def test_serve_ends_with_a_typed_error_on_any_bytes_from_its_client(data, hello_first):
+    # the HELLO announces 5 samples, so no UPDATE of 3 can complete the round
+    fed = FedConfig(n_clients=1, n_rounds=1, local_epochs=1, batch_size=4, seed=0)
+    cfg = nn.TrainConfig(side=8, epochs=1, batch_size=4, seed=0)
+    idle = 1.0
+    address, holder, server = _start_server(fed, cfg, accept_timeout=idle, idle_timeout=idle)
+    with socket.create_connection(address, timeout=10) as sock:
+        if hello_first:
+            fedwire.send_frame(sock, MSG_HELLO, encode_hello("client-0", 5))
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        start = time.monotonic()
+        server.join(timeout=10)
+        elapsed = time.monotonic() - start
+    assert not server.is_alive()
+    assert elapsed <= idle + 1.0
+    assert isinstance(holder.get("error"), FedransomError), holder

@@ -494,6 +494,26 @@ def test_a_public_index_follows_numpys_rules():
     assert params_equal(grads, expected)
 
 
+def test_a_public_mini_batch_of_no_samples_raises_before_building_lanes(monkeypatch):
+    # a step over no samples has no mean gradient, not a zero one
+    side = 8
+    rng = np.random.default_rng(37)
+    images = rng.random((4, 1, side, side))
+    labels = one_hot(rng.integers(0, 2, 4)).astype(np.float64)
+    cfg = nn.TrainConfig(side=side)
+    params = nn.init_params(side, 3).astype(np.float64)
+
+    def no_lanes(*_args, **_kwargs):
+        raise AssertionError("lanes were built for an empty mini-batch")
+
+    monkeypatch.setattr(nn, "_Lanes", no_lanes)
+    with pytest.raises(EmptyDataset):
+        nn.batch_loss_and_grad(params, images[:0], labels[:0], cfg, np.random.default_rng(0))
+    with pytest.raises(EmptyDataset):
+        nn.batch_loss_and_grad(params, images, labels[:0], cfg, np.random.default_rng(0),
+                               index=[])
+
+
 def test_fit_leaves_the_callers_model_untouched(monkeypatch):
     # 3 epochs of 3 steps, each in chunks of 3 + 1 (the last 3): every step
     # writes its new model over its gradients, never over the input
