@@ -248,6 +248,10 @@ def cmd_serve(args, parser) -> int:
 def cmd_client(args, parser) -> int:
     if args.local_epochs < 1:  # FedConfig's rule, which serve and fedtrain apply
         parser.error("local_epochs must be positive")
+    try:
+        fedwire.encode_hello(args.client_id, 1)
+    except ValueError as exc:
+        parser.error(str(exc))
     train_cfg = _train_config(args, parser, args.local_epochs)
     shard_data = _load(args.manifest, train_cfg.side)
     shard = fedavg.ClientShard(args.client_id, shard_data)

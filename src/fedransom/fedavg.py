@@ -3,7 +3,7 @@
 Every client trains on its own shard each round, and the server replaces
 the global model with the sample-count-weighted mean of the client
 results. run_rounds is the round loop of both engines: run_federation's
-clients train in threads here, fedwire.serve's over TCP. Weighting,
+clients train in a pool of threads, fedwire.serve's over TCP. Weighting,
 summation order, and per-client random streams are all pinned, so
 finishing order changes nothing: runs are reproducible bit for bit, a
 single-client federation replays centralized training exactly, and a
@@ -79,23 +79,15 @@ def client_stream_seed(seed: int, client_id: str, round_index: int) -> int:
 
 
 def partition_indices(n: int, n_clients: int, seed: int) -> list[np.ndarray]:
-    """Shuffle 0..n-1, cut into near-equal contiguous blocks, sort each block.
+    """Shuffle 0..n-1, cut into contiguous blocks (the first n % n_clients one longer), sort each.
 
     Sorting each shard back into dataset order makes membership the only
     thing the shuffle decides.
     """
     if n < n_clients:
         raise TooFewSamples(f"{n} samples cannot cover {n_clients} clients")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base, extra = divmod(n, n_clients)
-    blocks = []
-    start = 0
-    for k in range(n_clients):
-        size = base + (1 if k < extra else 0)
-        blocks.append(np.sort(perm[start : start + size]))
-        start += size
-    return blocks
+    perm = np.random.default_rng(seed).permutation(n)
+    return [np.sort(block) for block in np.array_split(perm, n_clients)]
 
 
 def partition(dataset: Dataset, n_clients: int, seed: int) -> list[ClientShard]:
@@ -172,13 +164,13 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
                    ) -> tuple[ModelParams, list[EvalReport]]:
     """Broadcast, train locally on every client, aggregate; one report per round.
 
-    A round's clients train at the same time in a pool of min(K, usable
-    cores) threads, which takes them in waves of that many. Each client's
-    local_train is passed its wave's share of the cores, and its fit takes
-    its lanes from that: on two cores, clients 0 and 1 train on one lane
-    each, then client 2 on two. numpy releases the GIL in the matmuls and
-    ufuncs that do the work. The first failing client, in shard order,
-    raises once every client of the round has finished.
+    A round's clients train at the same time in a pool of min(K, 2 * usable
+    cores) threads, up to two per core, and each client's local_train is
+    passed max(1, cores // threads) cores, which its fit takes its lanes
+    from: on two cores, three clients train at once on one lane each.
+    numpy releases the GIL in the matmuls and ufuncs that do the work. The
+    first failing client, in shard order, raises once every client of the
+    round has finished.
 
     The global model is seeded from train_config.seed; the shard layout from
     fed_config.seed. Reports are computed on val_set when given, otherwise
@@ -189,15 +181,13 @@ def run_federation(dataset: Dataset, fed_config: FedConfig,
                         learning_rate=fed_config.learning_rate)
     shards = partition(dataset, fed_config.n_clients, fed_config.seed)
     cores = _usable_cores()
-    workers = min(len(shards), cores)
-    # client k trains in wave k // workers, beside the wave's other clients
-    shares = [cores // min(workers, len(shards) - k // workers * workers)
-              for k in range(len(shards))]
+    workers = min(len(shards), 2 * cores)  # the cap bounds the live fits' buffers
+    share = max(1, cores // workers)
     with ThreadPoolExecutor(workers) as pool:
         return run_rounds(
             init_params(train_config.side, train_config.seed), fed_config.n_rounds,
             lambda params, r: [pool.submit(local_train, params, s, local_cfg, r, share)
-                               for share, s in zip(shares, shards)],
+                               for s in shards],
             dataset, val_set)
 
 

@@ -73,7 +73,10 @@ def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
 
 
 def encode_hello(client_id: str, n_samples: int) -> bytes:
-    return _HELLO_HEAD.pack(n_samples) + client_id.encode("utf-8")
+    try:
+        return _HELLO_HEAD.pack(n_samples) + client_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"client id {client_id!r} is not valid UTF-8") from None
 
 
 def decode_hello(payload: bytes) -> tuple[str, int]:
@@ -307,16 +310,18 @@ def client_join(address: tuple[str, int], shard: ClientShard,
     A refused connection is retried until *connect_timeout*, then raised. A
     failed read or send, or any protocol surprise, raises ProtocolViolation;
     a GLOBAL for another side than config.side, OversizeFrame from its header;
-    a timeout that is not positive and finite, ValueError, and an empty shard, EmptyShard, before
-    it connects. Every failure but a failed read or send also goes to the server as ERROR.
+    a timeout that is not positive and finite or an id that is not valid UTF-8,
+    ValueError, and an empty shard, EmptyShard, before it connects. Every
+    failure but a failed read or send also goes to the server as ERROR.
     """
     _check_timeouts(connect_timeout, idle_timeout)
     if len(shard) == 0:  # the server would end the whole federation on its hello
         raise EmptyShard(f"client {shard.client_id} has no samples")
+    hello = encode_hello(shard.client_id, len(shard))
     sock = _connect(address, connect_timeout)
     try:
         sock.settimeout(idle_timeout)
-        send_frame(sock, MSG_HELLO, encode_hello(shard.client_id, len(shard)))
+        send_frame(sock, MSG_HELLO, hello)
         while _client_round(sock, shard, config):
             pass
         return 0

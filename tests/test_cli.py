@@ -242,6 +242,21 @@ def test_client_on_an_empty_manifest_exits_one_before_it_connects(tmp_path, caps
     assert capsys.readouterr().err == "fedransom: error: client client-0 has no samples\n"
 
 
+def test_client_whose_id_is_not_utf8_exits_two_naming_it_before_it_connects(
+        small_corpus, capsys):
+    # a byte that is not UTF-8 in argv reaches Python as a lone surrogate
+    with socket.create_server(("127.0.0.1", 0)) as held:  # never accepts
+        held.setblocking(False)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("client", "--connect", "%s:%d" % held.getsockname(), "--side", "16",
+                    "--client-id", "node\udcff", "--idle-timeout", "1",
+                    "--manifest", str(small_corpus / "manifest.val.jsonl"))
+        with pytest.raises(BlockingIOError):
+            held.accept()
+    assert exc.value.code == 2
+    assert "client id 'node\\udcff' is not valid UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "fedtrain"])
 @pytest.mark.parametrize("source, value", [("flag", "nan"), ("flag", "inf"), ("ini", "nan")])
 def test_a_learning_rate_that_is_not_a_finite_number_at_least_zero_exits_two(

@@ -1,5 +1,7 @@
 import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -331,12 +333,11 @@ def test_concurrent_clients_give_the_sequential_bits(n_clients, seed):
     assert params_equal(pooled, _sequential_federation(ds, fed, train_cfg))
 
 
-@pytest.mark.parametrize("cores, lanes", [(2, [1, 1, 2]), (8, [2, 2, 2])],
+@pytest.mark.parametrize("cores, lanes", [(2, [1, 1, 1]), (8, [2, 2, 2])],
                          ids=["2-cores", "8-cores"])
-def test_each_pooled_client_trains_on_its_waves_share_of_the_cores(monkeypatch, cores, lanes):
-    # 3 clients in steps of 2 chunks: on 2 cores the pool passes clients 0
-    # and 1 one core each, so one lane, then client 2 two; on 8 cores all
-    # three train at once on two cores, so two lanes, each
+def test_each_pooled_client_trains_on_its_share_of_the_cores(monkeypatch, cores, lanes):
+    # 3 clients in steps of 2 chunks: on 2 cores all three train at once on
+    # one core, so one lane, each; on 8 cores on two cores, so two lanes, each
     ds = tiny_dataset(n=24, side=8, seed=21)
     fed = FedConfig(n_clients=3, n_rounds=2, local_epochs=1, batch_size=4, seed=6)
     train_cfg = nn.TrainConfig(side=8, seed=6)
@@ -359,6 +360,62 @@ def test_each_pooled_client_trains_on_its_waves_share_of_the_cores(monkeypatch, 
     assert [seen[f"client-{k}"] for k in range(3)] == [{n} for n in lanes]
     assert sorted(fits) == sorted(lanes * fed.n_rounds)  # each share reaches its fit
     assert params_equal(fed_params, _sequential_federation(ds, fed, train_cfg))
+
+
+def _two_core_federation(monkeypatch, n_clients, inside):
+    """run_federation of *n_clients* on a machine of 2 cores, each local_train
+    call run in the context inside(cores); the fitted model equals the sequential one."""
+    ds = tiny_dataset(n=4 * n_clients, side=8, seed=n_clients)
+    fed = FedConfig(n_clients=n_clients, n_rounds=2, local_epochs=1, batch_size=4, seed=3)
+    train_cfg = nn.TrainConfig(side=8, seed=3)
+    monkeypatch.setattr(fedavg, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+    real_local_train = fedavg.local_train
+
+    def observed(global_params, shard, config, round_index=0, cores=None):
+        with inside(cores):
+            return real_local_train(global_params, shard, config, round_index, cores)
+
+    monkeypatch.setattr(fedavg, "local_train", observed)
+    fed_params, _ = run_federation(ds, fed, train_cfg)
+    assert params_equal(fed_params, _sequential_federation(ds, fed, train_cfg))
+
+
+def test_pool_trains_every_client_of_a_round_at_once_on_two_cores(monkeypatch):
+    # each round's 3 clients meet at the barrier, so none waits for another's
+    # end; waves of 2 would leave client 2 queued and the barrier would break
+    barrier, shares = threading.Barrier(3, timeout=10), []
+
+    @contextmanager
+    def meet(cores):
+        shares.append(cores)
+        barrier.wait()
+        yield
+
+    _two_core_federation(monkeypatch, 3, meet)
+    assert shares == [1] * 6
+
+
+def test_pool_runs_at_most_two_clients_per_core(monkeypatch):
+    # 7 clients on 2 cores: at most 4 local_train calls run at any moment;
+    # each lasts long enough for an uncapped pool to run all 7 at once
+    lock, running, peak = threading.Lock(), [0], [0]
+
+    @contextmanager
+    def count(cores):
+        assert cores == 1
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.1)
+        try:
+            yield
+        finally:
+            with lock:
+                running[0] -= 1
+
+    _two_core_federation(monkeypatch, 7, count)
+    assert peak[0] == 4
 
 
 class ClientCrashed(FedransomError):

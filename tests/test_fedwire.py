@@ -435,6 +435,22 @@ def test_client_join_refuses_an_empty_shard_before_it_connects():
         listener.close()
 
 
+def test_client_join_refuses_an_id_that_is_not_utf8_before_it_connects():
+    # the id would fail to encode only after connecting, so serve would read an
+    # ERROR frame in place of a HELLO and end every other client's federation
+    listener = _free_listener()
+    listener.setblocking(False)
+    data = tiny_dataset(n=4, side=8, seed=0)
+    try:
+        with pytest.raises(ValueError, match=r"client id 'node\\udcff' is not valid UTF-8"):
+            client_join(listener.getsockname(), fedavg.ClientShard("node\udcff", data),
+                        nn.TrainConfig(side=8), idle_timeout=1.0)
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+    finally:
+        listener.close()
+
+
 _BAD_TIMEOUTS = [-1.0, 0.0, math.inf, math.nan]
 
 
