@@ -9,7 +9,7 @@ in-process or over a framed TCP protocol.
 from .corpus import Manifest, SplitSpec, build_corpus, split, synth_benign, synth_ransomlike
 from .data import Dataset
 from .fedavg import ClientShard, ClientUpdate, FedConfig, aggregate, partition, run_federation
-from .imaging import GrayImage, bytes_to_image, entropy_profile, shannon_entropy
+from .imaging import bytes_to_image
 from .metrics import ConfusionMatrix, EvalReport, confusion, precision_recall_f1
 from .nn import ModelParams, TrainConfig, fit, init_params, predict
 
@@ -19,7 +19,7 @@ __all__ = [
     "Manifest", "SplitSpec", "build_corpus", "split", "synth_benign", "synth_ransomlike",
     "Dataset",
     "ClientShard", "ClientUpdate", "FedConfig", "aggregate", "partition", "run_federation",
-    "GrayImage", "bytes_to_image", "entropy_profile", "shannon_entropy",
+    "bytes_to_image",
     "ConfusionMatrix", "EvalReport", "confusion", "precision_recall_f1",
     "ModelParams", "TrainConfig", "fit", "init_params", "predict",
     "__version__",

@@ -249,7 +249,7 @@ def cmd_client(args, parser) -> int:
     if args.local_epochs < 1:  # FedConfig's rule, which serve and fedtrain apply
         parser.error("local_epochs must be positive")
     try:
-        fedwire.encode_hello(args.client_id, 1)
+        fedavg.client_id_bytes(args.client_id)
     except ValueError as exc:
         parser.error(str(exc))
     train_cfg = _train_config(args, parser, args.local_epochs)
@@ -271,7 +271,7 @@ def cmd_predict(args, parser) -> int:
     for name in args.files:
         with open(name, "rb") as fh:  # the image uses only the first side*side bytes
             image = bytes_to_image(fh.read(params.side * params.side), params.side)
-        labels, probs = nn.predict(params, image.pixels[None, None], args.threshold)
+        labels, probs = nn.predict(params, image[None, None], args.threshold)
         label = int(labels[0])
         print(f"{name}\t{metrics.CLASS_NAMES[label]}\t{probs[0, 1]:.6f}")
     return 0

@@ -8,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, ShapeMismatch
-from .imaging import GrayImage
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,16 @@ class Dataset:
         return Dataset(self.images[idx], self.labels[idx])
 
 
-def from_images(images: Sequence[GrayImage], labels: Sequence[int]) -> Dataset:
+def from_images(images: Sequence[np.ndarray], labels: Sequence[int]) -> Dataset:
+    """Stack (side, side) images, as imaging.bytes_to_image makes them, all of one side."""
     if len(images) != len(labels):
         raise ShapeMismatch("one label per image required")
     if not images:
         raise EmptyDataset("cannot stack a dataset from no images")
-    side = images[0].side
-    stack = np.stack([img.pixels for img in images])[:, None, :, :]
-    if stack.shape[2:] != (side, side):
+    side = len(images[0])
+    if any(img.shape != (side, side) for img in images):
         raise ShapeMismatch("images of mixed sides")
+    stack = np.stack(images)[:, None, :, :]
     return Dataset(stack.astype(np.float32, copy=False), np.asarray(labels, dtype=np.int64))
 
 

@@ -13,10 +13,6 @@ class InvalidSide(FedransomError, ValueError):
     """Image side length below the supported minimum."""
 
 
-class InvalidWindow(FedransomError, ValueError):
-    """Entropy window smaller than the supported minimum."""
-
-
 class InvalidRate(FedransomError, ValueError):
     """Dropout rate outside [0, 1)."""
 

@@ -65,6 +65,14 @@ class ClientUpdate:
     n_samples: int
 
 
+def client_id_bytes(client_id: str) -> bytes:
+    """The UTF-8 bytes of *client_id*, as HELLO carries them and its stream seed hashes them."""
+    try:
+        return client_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"client id {client_id!r} is not valid UTF-8") from None
+
+
 def client_stream_seed(seed: int, client_id: str, round_index: int) -> int:
     """Seed of a client's random stream (shuffles and dropout) in one round.
 
@@ -74,7 +82,7 @@ def client_stream_seed(seed: int, client_id: str, round_index: int) -> int:
     any base seed and a one-client federation replays centralized training.
     """
     match = re.fullmatch(r"client-(0|[1-9][0-9]{0,8})", client_id)
-    ordinal = int(match[1]) if match else (1 << 32) + zlib.crc32(client_id.encode("utf-8"))
+    ordinal = int(match[1]) if match else (1 << 32) + zlib.crc32(client_id_bytes(client_id))
     return seed ^ ((ordinal * _MIX_CLIENT + round_index * _MIX_ROUND) & _MASK64)
 
 

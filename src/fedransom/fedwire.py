@@ -32,7 +32,7 @@ from .checkpoint import byte_length, param_buffers, params_from_bytes, read_para
 from .data import Dataset
 from .errors import (ClientCountTimeout, EmptyShard, OversizeFrame, ProtocolViolation,
                      TruncatedFrame, UnknownFrameType)
-from .fedavg import ClientShard, ClientUpdate, FedConfig, local_train, run_rounds
+from .fedavg import ClientShard, ClientUpdate, FedConfig, client_id_bytes, local_train, run_rounds
 from .metrics import EvalReport
 from .nn import ModelParams, TrainConfig, init_params
 
@@ -73,10 +73,7 @@ def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
 
 
 def encode_hello(client_id: str, n_samples: int) -> bytes:
-    try:
-        return _HELLO_HEAD.pack(n_samples) + client_id.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"client id {client_id!r} is not valid UTF-8") from None
+    return _HELLO_HEAD.pack(n_samples) + client_id_bytes(client_id)
 
 
 def decode_hello(payload: bytes) -> tuple[str, int]:

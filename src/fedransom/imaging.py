@@ -1,4 +1,4 @@
-"""Turn raw binaries into grayscale images and measure their entropy.
+"""Turn raw binaries into grayscale images.
 
 Bytes map one per pixel, row major, scaled from 0..255 into [0, 1].
 Inputs shorter than side*side are zero padded; longer inputs are
@@ -7,38 +7,20 @@ truncated. The mapping is deterministic: same bytes, same picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EmptyInput, InvalidSide, InvalidWindow
+from .errors import EmptyInput, InvalidSide
 
 DEFAULT_SIDE = 300
 MIN_SIDE = 8
-MIN_WINDOW = 16
+# the largest side whose weight frame, 8 + checkpoint.byte_length(side) bytes,
+# fits fedwire.MAX_PAYLOAD: a larger model could train but never federate
+MAX_SIDE = 2896
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """A side x side grid of pixel intensities in [0, 1]."""
-
-    side: int
-    pixels: np.ndarray  # (side, side) float32
-
-    def flat(self) -> np.ndarray:
-        return self.pixels.reshape(-1)
-
-
-@dataclass(frozen=True)
-class EntropyProfile:
-    """Shannon entropy (bits/byte) of consecutive non-overlapping windows."""
-
-    window_size: int
-    entropies: np.ndarray  # (n_windows,) float64, each in [0, 8]
-
-
-def bytes_to_image(data: bytes, side: int = DEFAULT_SIDE) -> GrayImage:
-    """Render the first side*side bytes of *data* as a grayscale image."""
+def bytes_to_image(data: bytes, side: int = DEFAULT_SIDE) -> np.ndarray:
+    """The first side*side bytes of *data* as a read-only (side, side) float32
+    grid of pixel intensities in [0, 1]."""
     if len(data) == 0:
         raise EmptyInput("cannot image an empty byte sequence")
     if side < MIN_SIDE:
@@ -49,29 +31,4 @@ def bytes_to_image(data: bytes, side: int = DEFAULT_SIDE) -> GrayImage:
     pixels[: raw.size] = raw.astype(np.float32) / np.float32(255.0)
     pixels = pixels.reshape(side, side)
     pixels.setflags(write=False)
-    return GrayImage(side=side, pixels=pixels)
-
-
-def shannon_entropy(data: bytes) -> float:
-    """Shannon entropy of the byte-value distribution, in bits per byte."""
-    if len(data) == 0:
-        raise EmptyInput("cannot measure entropy of an empty byte sequence")
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    p = counts[counts > 0] / len(data)
-    return float(-(p * np.log2(p)).sum())
-
-
-def entropy_profile(data: bytes, window: int) -> EntropyProfile:
-    """Per-window entropy over consecutive non-overlapping windows.
-
-    The final window is analyzed as-is even when shorter than *window*.
-    """
-    if len(data) == 0:
-        raise EmptyInput("cannot profile an empty byte sequence")
-    if window < MIN_WINDOW:
-        raise InvalidWindow(f"window must be at least {MIN_WINDOW}, got {window}")
-    entropies = [
-        shannon_entropy(data[start : start + window])
-        for start in range(0, len(data), window)
-    ]
-    return EntropyProfile(window_size=window, entropies=np.array(entropies))
+    return pixels

@@ -165,33 +165,3 @@ def emit_report(report: EvalReport, path, fmt: str = "json") -> None:
                 ])
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report(path) -> EvalReport:
-    """Read back a json report; reals are re-quantized to single precision."""
-    doc = json.loads(Path(path).read_text())
-    cm = ConfusionMatrix(**doc["confusion"])
-    return EvalReport(
-        confusion=cm,
-        precision=tuple(_f32(v) for v in doc["precision"]),
-        recall=tuple(_f32(v) for v in doc["recall"]),
-        f1=tuple(_f32(v) for v in doc["f1"]),
-        accuracy=_f32(doc["accuracy"]),
-        degenerate=tuple(doc["degenerate"]),
-        history=tuple(
-            history_row(int(idx), train, val) for idx, train, val in doc["history"]
-        ),
-    )
-
-
-def parse_history_csv(path) -> tuple[HistoryRow, ...]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected csv header {header!r}")
-        return tuple(
-            history_row(int(idx), float(train) if train else None,
-                        float(val) if val else None)
-            for idx, train, val in reader
-        )

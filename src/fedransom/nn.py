@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset, one_hot
 from .errors import EmptyDataset, FedransomError, InvalidRate, ShapeMismatch
-from .imaging import MIN_SIDE
+from .imaging import MAX_SIDE, MIN_SIDE
 
 N_FILTERS = 32
 KERNEL_SIDE = 3
@@ -73,6 +73,8 @@ class TrainConfig:
             raise InvalidRate("dropout_rate must lie in [0, 1)")
         if self.side < MIN_SIDE:
             raise ValueError(f"side must be at least {MIN_SIDE}")
+        if self.side > MAX_SIDE:  # before anything of that side is allocated
+            raise ValueError(f"side must be at most {MAX_SIDE}, the largest that can federate")
 
 
 @dataclass(frozen=True)

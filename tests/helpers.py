@@ -1,11 +1,15 @@
-"""Shared test fixtures: tiny datasets, random params, gradient oracles."""
+"""Shared test fixtures: tiny datasets, random params, gradient oracles,
+report readers and a reference byte entropy."""
 
+import csv
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedransom import nn
+from fedransom import metrics, nn
 from fedransom.data import Dataset
 
 
@@ -111,3 +115,40 @@ def max_relative_error(analytic: nn.ModelParams, numeric: nn.ModelParams) -> flo
         rel = np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
         worst = max(worst, float(rel.max()))
     return worst
+
+
+def shannon_entropy(data: bytes) -> float:
+    """Shannon entropy of the byte-value distribution, in bits per byte."""
+    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    p = counts[counts > 0] / len(data)
+    return float(-(p * np.log2(p)).sum())
+
+
+def parse_report(path) -> metrics.EvalReport:
+    """Read back a json report; reals are re-quantized to single precision."""
+    doc = json.loads(Path(path).read_text())
+    cm = metrics.ConfusionMatrix(**doc["confusion"])
+    return metrics.EvalReport(
+        confusion=cm,
+        precision=tuple(metrics._f32(v) for v in doc["precision"]),
+        recall=tuple(metrics._f32(v) for v in doc["recall"]),
+        f1=tuple(metrics._f32(v) for v in doc["f1"]),
+        accuracy=metrics._f32(doc["accuracy"]),
+        degenerate=tuple(doc["degenerate"]),
+        history=tuple(
+            metrics.history_row(int(idx), train, val) for idx, train, val in doc["history"]
+        ),
+    )
+
+
+def parse_history_csv(path) -> tuple[metrics.HistoryRow, ...]:
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader))
+        if header != metrics.CSV_HEADER:
+            raise ValueError(f"unexpected csv header {header!r}")
+        return tuple(
+            metrics.history_row(int(idx), float(train) if train else None,
+                                float(val) if val else None)
+            for idx, train, val in reader
+        )

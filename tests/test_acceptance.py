@@ -15,11 +15,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from helpers import (hinge_safe_bias, make_loss_fn, max_relative_error,
-                     numeric_gradients, params_equal, random_params)
+                     numeric_gradients, params_equal, random_params, shannon_entropy)
 
 from fedransom import checkpoint, corpus, fedavg, fedwire, metrics, nn
 from fedransom.data import one_hot
-from fedransom.imaging import bytes_to_image, shannon_entropy
+from fedransom.imaging import bytes_to_image
 
 
 @contextmanager
@@ -162,7 +162,7 @@ def test_criterion_5_desk_scale_learning(desk_corpus, desk_federation):
         fresh_ransom = bytes_to_image(corpus.synth_ransomlike(987654, 6000), DESK_SIDE)
         fresh_benign = bytes_to_image(corpus.synth_benign(987654, 6000), DESK_SIDE)
         labels, _ = nn.predict(params, np.stack(
-            [fresh_ransom.pixels, fresh_benign.pixels])[:, None])
+            [fresh_ransom, fresh_benign])[:, None])
         assert labels.tolist() == [1, 0]
 
 

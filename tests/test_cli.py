@@ -9,9 +9,9 @@ import time
 import tracemalloc
 
 import pytest
-from helpers import params_equal
+from helpers import params_equal, parse_history_csv, parse_report
 
-from fedransom import checkpoint, corpus, fedavg, metrics, nn
+from fedransom import checkpoint, corpus, fedavg, nn
 from fedransom.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -170,13 +170,13 @@ def test_train_is_reproducible_and_feeds_eval_and_predict(small_corpus, tmp_path
     assert run_cli(*args, "--checkpoint-out", str(ckpt_b)) == 0
     assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
 
-    report = metrics.parse_report(report_path)
+    report = parse_report(report_path)
     assert len(report.history) == 2
 
     assert run_cli("eval", "--checkpoint", str(ckpt_a),
                    "--manifest", str(small_corpus / "manifest.test.jsonl"),
                    "--report-out", str(tmp_path / "eval.json")) == 0
-    eval_report = metrics.parse_report(tmp_path / "eval.json")
+    eval_report = parse_report(tmp_path / "eval.json")
     assert eval_report.confusion.total == 2
 
     sample = next(e.path for e in corpus.read_manifest(
@@ -277,6 +277,25 @@ def test_a_learning_rate_that_is_not_a_finite_number_at_least_zero_exits_two(
     assert not never.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "fedtrain", "serve", "client"])
+def test_a_side_above_the_wire_cap_exits_two_before_it_reads_a_manifest(
+        tmp_path, capsys, command):
+    never = tmp_path / "never.frwm"
+    missing = str(tmp_path / "missing.jsonl")  # a read of it would exit 1
+    argv = {"train": ["--manifest", missing, "--checkpoint-out", str(never)],
+            "fedtrain": ["--manifest", missing, "--checkpoint-out", str(never)],
+            "serve": ["--bind", "127.0.0.1:0", "--val-manifest", missing,
+                      "--checkpoint-out", str(never)],
+            "client": ["--connect", "127.0.0.1:9", "--manifest", missing]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *argv, "--side", "5000")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "side must be at most 2896" in err
+    assert "Traceback" not in err
+    assert not never.exists()
+
+
 def test_train_whose_model_overflows_float32_exits_one_without_a_checkpoint(
         small_corpus, tmp_path, capsys):
     never = tmp_path / "never.frwm"
@@ -297,7 +316,7 @@ def test_train_with_an_empty_val_manifest_reports_on_the_training_set(small_corp
         assert run_cli(*args, *extra, "--checkpoint-out", str(tmp_path / f"{name}.frwm"),
                        "--report-out", str(tmp_path / f"{name}.json")) == 0
     train = corpus.read_manifest(small_corpus / "manifest.train.jsonl")
-    assert metrics.parse_report(tmp_path / "empty.json").confusion.total == len(train.entries)
+    assert parse_report(tmp_path / "empty.json").confusion.total == len(train.entries)
     assert (tmp_path / "empty.json").read_bytes() == (tmp_path / "none.json").read_bytes()
 
 
@@ -378,7 +397,7 @@ def test_serve_and_client_cli_loopback(small_corpus, tmp_path):
     assert client_rc == 0
     assert server_rc["rc"] == 0
     assert ckpt.exists()
-    history = metrics.parse_history_csv(rounds)
+    history = parse_history_csv(rounds)
     assert [row.index for row in history] == [0, 1]
     assert all(row.train_accuracy is None and row.val_accuracy is not None
                for row in history)
@@ -464,7 +483,7 @@ def test_a_fed_setting_resolves_flag_then_config_then_preset_then_builtin(small_
                        "--side", "16", "--local-epochs", "1", "--batch", "4", "--seed", "1",
                        "--checkpoint-out", str(tmp_path / f"{name}.frwm"),
                        "--report-out", str(report), *extra) == 0
-        assert len(metrics.parse_history_csv(report)) == rounds, name
+        assert len(parse_history_csv(report)) == rounds, name
 
 
 @pytest.mark.parametrize("source", ["flag", "ini"])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import shannon_entropy
 
 from fedransom import corpus
 from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
@@ -11,8 +12,8 @@ from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
                               synth_ransomlike, write_manifest)
 from fedransom.data import from_images
 from fedransom.errors import (CorruptManifest, EmptyDataset, EmptyInput, FedransomError,
-                              InvalidSplitSpec, SizeTooSmall, TooFewSamples)
-from fedransom.imaging import bytes_to_image, entropy_profile, shannon_entropy
+                              InvalidSplitSpec, ShapeMismatch, SizeTooSmall, TooFewSamples)
+from fedransom.imaging import bytes_to_image
 
 
 def test_generators_are_deterministic():
@@ -44,8 +45,10 @@ def test_entropy_separates_the_classes():
 
 def test_ransomlike_payload_dominates_the_windows():
     for seed in range(5):
-        prof = entropy_profile(synth_ransomlike(seed, 65_536), 4096)
-        assert (prof.entropies > 7.5).mean() >= 0.70
+        blob = synth_ransomlike(seed, 65_536)
+        entropies = np.array([shannon_entropy(blob[start : start + 4096])
+                              for start in range(0, len(blob), 4096)])
+        assert (entropies > 7.5).mean() >= 0.70
 
 
 def test_benign_has_a_zero_tail():
@@ -199,6 +202,11 @@ def test_from_images_of_no_images_raises_a_typed_error():
         from_images([], [])
 
 
+def test_from_images_of_mixed_sides_raises_a_typed_error():
+    with pytest.raises(ShapeMismatch, match="mixed sides"):
+        from_images([bytes_to_image(b"\x01", 8), bytes_to_image(b"\x01", 9)], [0, 1])
+
+
 def test_load_dataset_images_long_and_short_files_as_whole_reads(tmp_path):
     side = 16
     blobs = {"long.bin": np.random.default_rng(5).bytes(3 * side * side + 7),
@@ -209,7 +217,7 @@ def test_load_dataset_images_long_and_short_files_as_whole_reads(tmp_path):
         entries.append(ManifestEntry(name, i % 2, len(blob), ""))
     ds = corpus.load_dataset(Manifest(tuple(entries), tmp_path), side)
     for image, blob in zip(ds.images, blobs.values()):
-        assert (image[0] == bytes_to_image(blob, side).pixels).all()
+        assert (image[0] == bytes_to_image(blob, side)).all()
 
 
 def test_load_dataset_memory_at_reference_side(tmp_path):

@@ -96,6 +96,12 @@ def test_distinct_client_ids_draw_distinct_streams():
     assert len({client_stream_seed(5, i, 0) for i in ids}) == len(ids) == 11
 
 
+def test_local_train_on_a_client_id_that_is_not_utf8_names_it():
+    shard = ClientShard("node\udcff", tiny_dataset(n=4, side=8, seed=0))
+    with pytest.raises(ValueError, match=r"client id 'node\\udcff' is not valid UTF-8"):
+        local_train(nn.init_params(8, 0), shard, nn.TrainConfig(side=8, epochs=1))
+
+
 def _update(client_id, value, n, round_index=0, side=8):
     return ClientUpdate(client_id, round_index, constant_params(value, side), n)
 

@@ -18,6 +18,7 @@ from fedransom import checkpoint, fedavg, fedwire, nn
 from fedransom.errors import (ClientCountTimeout, EmptyShard, FedransomError, OversizeFrame,
                               ProtocolViolation, TruncatedFrame, UnknownFrameType)
 from fedransom.fedavg import FedConfig, partition, run_federation
+from fedransom.imaging import MAX_SIDE
 from fedransom.fedwire import (MSG_ERROR, MSG_FIN, MSG_GLOBAL, MSG_HELLO,
                                MSG_UPDATE, Frame, client_join, decode_hello,
                                decode_weight_blob, encode_frame, encode_hello,
@@ -67,6 +68,12 @@ def test_decode_rejects_declared_oversize():
     for length in (exact - 1, exact + 1):
         with pytest.raises(OversizeFrame, match=f"{length} bytes declared.* has {exact}"):
             _read_sent(fedwire._HEADER.pack(length, MSG_UPDATE), side=8)
+
+
+def test_max_side_is_the_largest_whose_weight_frame_fits_the_payload_cap():
+    # a weight frame is the (round, n_samples) head and then the checkpoint
+    assert 8 + checkpoint.byte_length(MAX_SIDE) <= fedwire.MAX_PAYLOAD
+    assert 8 + checkpoint.byte_length(MAX_SIDE + 1) > fedwire.MAX_PAYLOAD
 
 
 def test_weight_frame_read_with_its_side_comes_back_as_weights():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import parse_history_csv, parse_report
 
 from fedransom import metrics
 from fedransom.errors import LengthMismatch
@@ -117,14 +118,14 @@ def test_json_report_round_trip(tmp_path):
     report = _sample_report()
     path = tmp_path / "report.json"
     metrics.emit_report(report, path, "json")
-    assert metrics.parse_report(path) == report
+    assert parse_report(path) == report
 
 
 def test_json_report_round_trip_with_empty_history(tmp_path):
     report = precision_recall_f1(ConfusionMatrix(tn=1, fp=2, fn=3, tp=4))
     path = tmp_path / "report.json"
     metrics.emit_report(report, path, "json")
-    assert metrics.parse_report(path) == report
+    assert parse_report(path) == report
 
 
 def test_csv_history_round_trip_and_header(tmp_path):
@@ -133,7 +134,7 @@ def test_csv_history_round_trip_and_header(tmp_path):
     metrics.emit_report(report, path, "csv")
     first = path.read_text().splitlines()[0]
     assert first == "index,train_accuracy,val_accuracy"
-    assert metrics.parse_history_csv(path) == report.history
+    assert parse_history_csv(path) == report.history
 
 
 def test_csv_with_no_history_is_just_the_header(tmp_path):
@@ -141,7 +142,7 @@ def test_csv_with_no_history_is_just_the_header(tmp_path):
     path = tmp_path / "history.csv"
     metrics.emit_report(report, path, "csv")
     assert path.read_text().strip() == "index,train_accuracy,val_accuracy"
-    assert metrics.parse_history_csv(path) == ()
+    assert parse_history_csv(path) == ()
 
 
 def test_report_reals_survive_nine_digit_serialization(tmp_path):
@@ -149,6 +150,6 @@ def test_report_reals_survive_nine_digit_serialization(tmp_path):
     report = precision_recall_f1(ConfusionMatrix(tn=2, fp=1, fn=1, tp=2))
     path = tmp_path / "r.json"
     metrics.emit_report(report, path, "json")
-    parsed = metrics.parse_report(path)
+    parsed = parse_report(path)
     assert parsed.precision == report.precision
     assert parsed.f1 == report.f1

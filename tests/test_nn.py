@@ -13,6 +13,7 @@ from helpers import (hinge_safe_bias, make_loss_fn, max_relative_error,
 from fedransom import nn
 from fedransom.data import Dataset, one_hot
 from fedransom.errors import EmptyDataset, InvalidRate, ShapeMismatch
+from fedransom.imaging import MAX_SIDE
 
 
 def test_softmax_symmetry():
@@ -292,6 +293,13 @@ def test_a_learning_rate_that_is_not_a_finite_number_at_least_zero_is_rejected(r
     params = random_params(side=8, seed=0)
     with pytest.raises(ValueError, match="learning_rate"):
         nn.sgd_step(params, params, rate)
+
+
+def test_train_config_bounds_the_side_by_the_wire_cap():
+    # checked before a model or an image of that side is allocated
+    assert nn.TrainConfig(side=MAX_SIDE).side == MAX_SIDE
+    with pytest.raises(ValueError, match=f"side must be at most {MAX_SIDE}"):
+        nn.TrainConfig(side=MAX_SIDE + 1)
 
 
 def test_fit_with_zero_learning_rate_changes_nothing():
