@@ -6,7 +6,7 @@ federated averaging trains that network across data owners, either
 in-process or over a framed TCP protocol.
 """
 
-from .corpus import Manifest, SplitSpec, build_corpus, split, synth_benign, synth_ransomlike
+from .corpus import Manifest, build_corpus, split, synth_benign, synth_ransomlike
 from .data import Dataset
 from .fedavg import ClientShard, ClientUpdate, FedConfig, aggregate, partition, run_federation
 from .imaging import bytes_to_image
@@ -16,7 +16,7 @@ from .nn import ModelParams, TrainConfig, fit, init_params, predict
 __version__ = "0.1.0"
 
 __all__ = [
-    "Manifest", "SplitSpec", "build_corpus", "split", "synth_benign", "synth_ransomlike",
+    "Manifest", "build_corpus", "split", "synth_benign", "synth_ransomlike",
     "Dataset",
     "ClientShard", "ClientUpdate", "FedConfig", "aggregate", "partition", "run_federation",
     "bytes_to_image",

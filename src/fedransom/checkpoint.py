@@ -33,7 +33,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptCheckpoint, ShapeMismatch
-from .imaging import MIN_SIDE
+from .imaging import MAX_SIDE, MIN_SIDE
 from .nn import KERNEL_SIDE, N_CLASSES, N_FILTERS, ModelParams
 
 MAGIC = b"FRWM"
@@ -84,8 +84,9 @@ def _side(magic: bytes, n_bytes: int) -> int:
         raise CorruptCheckpoint(f"bad magic {bytes(magic)!r}")
     # byte_length(0) counts the bytes that do not grow with the side
     side = math.isqrt(max(n_bytes - byte_length(0), 0) // _PIXEL_BYTES)
-    if side < MIN_SIDE or byte_length(side) != n_bytes:
-        raise CorruptCheckpoint(f"{n_bytes} bytes is the length of no model of side >= {MIN_SIDE}")
+    if not MIN_SIDE <= side <= MAX_SIDE or byte_length(side) != n_bytes:
+        raise CorruptCheckpoint(
+            f"{n_bytes} bytes is the length of no model of side {MIN_SIDE} to {MAX_SIDE}")
     return side
 
 

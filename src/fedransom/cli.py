@@ -7,9 +7,9 @@ setting the command takes and no flag gave: from the config file (INI
 sections [synth], [train], [fed], each key the flag name with - turned
 into _), then --preset desk, then the built-in. The seed may sit in any
 section: --seed, then [train], [fed], [synth], FEDRANSOM_SEED, then 0.
-Built-in values match the reference hyperparameters (side 300, lr 0.006,
-batch 64, 10 epochs; federation 3 clients, 30 rounds, 30 local epochs);
---preset desk scales everything down to laptop size.
+The training and federation built-ins are the reference hyperparameters,
+taken from the defaults of nn.TrainConfig and fedavg.FedConfig; --preset
+desk scales everything down to laptop size.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -53,15 +53,15 @@ _SETTINGS = {
     "n_per_class": ("synth", int, 300, 300, "files per class"),
     "min_size": ("synth", int, corpus.DEFAULT_SIZE_RANGE[0], None, "smallest file in bytes"),
     "max_size": ("synth", int, corpus.DEFAULT_SIZE_RANGE[1], None, "largest file in bytes"),
-    "side": ("train", int, 300, 64, "image side length in pixels"),
-    "epochs": ("train", int, 10, 3, "training epochs"),
-    "batch": ("train", int, 64, 16, "mini-batch size"),
-    "lr": ("train", float, 0.006, None, "learning rate"),
-    "dropout": ("train", float, 0.25, None, "dropout rate"),
+    "side": ("train", int, nn.TrainConfig.side, 64, "image side length in pixels"),
+    "epochs": ("train", int, nn.TrainConfig.epochs, 3, "training epochs"),
+    "batch": ("train", int, nn.TrainConfig.batch_size, 16, "mini-batch size"),
+    "lr": ("train", float, nn.TrainConfig.learning_rate, None, "learning rate"),
+    "dropout": ("train", float, nn.TrainConfig.dropout_rate, None, "dropout rate"),
     "threshold": ("train", _probability, 0.5, None, "ransomware when its probability exceeds this"),
-    "clients": ("fed", int, 3, None, "number of clients"),
-    "rounds": ("fed", int, 30, 10, "federation rounds"),
-    "local_epochs": ("fed", int, 30, 3, "client epochs per round"),
+    "clients": ("fed", int, fedavg.FedConfig.n_clients, None, "number of clients"),
+    "rounds": ("fed", int, fedavg.FedConfig.n_rounds, 10, "federation rounds"),
+    "local_epochs": ("fed", int, fedavg.FedConfig.local_epochs, 3, "client epochs per round"),
     "accept_timeout": ("fed", _seconds, fedwire.DEFAULT_IDLE_TIMEOUT, None,
                        "seconds to wait for every client to join"),
     "idle_timeout": ("fed", _seconds, fedwire.DEFAULT_IDLE_TIMEOUT, None,
@@ -200,7 +200,7 @@ def cmd_synth(args, parser) -> int:
     corpus.write_manifest(manifest, base)
     print(f"wrote {len(manifest)} files under {args.out}")
     if len(manifest) >= 10:
-        parts = corpus.split(manifest, corpus.SplitSpec(seed=args.seed))
+        parts = corpus.split(manifest, args.seed)
         for part, path in zip(parts, corpus.split_paths(base)):
             corpus.write_manifest(part, path)
             print(f"wrote {path} ({len(part)} entries)")
@@ -218,9 +218,7 @@ def cmd_train(args, parser) -> int:
     params, history = nn.fit(params, dataset, train_cfg, rng, val)
     # a set with no samples is false: it counts as not given, as in round_report
     report = fedavg.evaluate_model(params, val or dataset)
-    rows = [metrics.history_row(h.epoch, h.train_accuracy, h.val_accuracy)
-            for h in history]
-    return _finish(args, [metrics.with_history(report, rows)], params)
+    return _finish(args, [metrics.with_history(report, history)], params)
 
 
 def cmd_fedtrain(args, parser) -> int:

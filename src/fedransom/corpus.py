@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset, from_images
-from .errors import CorruptManifest, InvalidSplitSpec, SizeTooSmall, TooFewSamples
+from .errors import CorruptManifest, SizeTooSmall, TooFewSamples
 from .imaging import bytes_to_image
 
 MIN_FILE_SIZE = 1024
@@ -71,18 +71,6 @@ class Manifest:
 
     def subset(self, indices: Iterable[int]) -> "Manifest":
         return Manifest(tuple(self.entries[i] for i in indices), self.base_dir)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)  # train, val, test
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if any(f <= 0 for f in self.fractions):
-            raise InvalidSplitSpec(f"fractions must be positive, got {self.fractions}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise InvalidSplitSpec(f"fractions must sum to 1, got {self.fractions}")
 
 
 def _file_rng(seed: int, label: int, index: int) -> np.random.Generator:
@@ -163,21 +151,20 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def read_manifest(path) -> Manifest:
-    """The manifest at *path*; a line that is not one well-formed entry
-    raises CorruptManifest naming the file and the 1-based line."""
+    """The manifest at *path*, read as UTF-8; a line that is not one
+    well-formed entry raises CorruptManifest naming the file and the 1-based line."""
     path = Path(path)
     entries = []
-    with path.open() as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                entries.append(_parse_entry(line, f"{path}:{number}"))
+    for number, line in enumerate(path.read_bytes().splitlines(), 1):
+        if line.strip():
+            entries.append(_parse_entry(line, f"{path}:{number}"))
     return Manifest(tuple(entries), path.parent)
 
 
-def _parse_entry(line: str, where: str) -> ManifestEntry:
+def _parse_entry(line: bytes, where: str) -> ManifestEntry:
     try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # also a line that is not UTF-8, or an integer too long to read
         raise CorruptManifest(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptManifest(f"{where}: expected a JSON object")
@@ -186,6 +173,8 @@ def _parse_entry(line: str, where: str) -> ManifestEntry:
             raise CorruptManifest(f"{where}: missing key {key!r}")
     if not isinstance(doc["path"], str):
         raise CorruptManifest(f"{where}: path {doc['path']!r} is not a string")
+    if "\0" in doc["path"]:  # no file can be opened by such a name
+        raise CorruptManifest(f"{where}: path {doc['path']!r} holds a NUL character")
     for key in ("label", "size"):
         if type(doc[key]) is not int:
             raise CorruptManifest(f"{where}: {key} {doc[key]!r} is not an integer")
@@ -199,21 +188,21 @@ def split_paths(manifest_path) -> tuple[Path, Path, Path]:
     return tuple(base.parent / f"{stem}.{part}.jsonl" for part in ("train", "val", "test"))
 
 
-def split(manifest: Manifest, spec: SplitSpec) -> tuple[Manifest, Manifest, Manifest]:
-    """Stratified train/val/test split; per-class rounding, remainder to train."""
+def split(manifest: Manifest, seed: int) -> tuple[Manifest, Manifest, Manifest]:
+    """The stratified 80/10/10 train/val/test split: of each class's n
+    entries, shuffled, round(0.1 * n) go to val, as many to test, the rest to train."""
     if len(manifest) < 10:
         raise TooFewSamples(f"need at least 10 samples to split, got {len(manifest)}")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     labels = manifest.labels()
     buckets: tuple[list[int], list[int], list[int]] = ([], [], [])
     for label in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == label)
         shuffled = idx[rng.permutation(len(idx))]
-        n_val = round(spec.fractions[1] * len(idx))
-        n_test = round(spec.fractions[2] * len(idx))
-        buckets[1].extend(shuffled[:n_val].tolist())
-        buckets[2].extend(shuffled[n_val : n_val + n_test].tolist())
-        buckets[0].extend(shuffled[n_val + n_test :].tolist())
+        held = round(0.1 * len(idx))
+        buckets[1].extend(shuffled[:held].tolist())
+        buckets[2].extend(shuffled[held : 2 * held].tolist())
+        buckets[0].extend(shuffled[2 * held :].tolist())
     return tuple(manifest.subset(sorted(b)) for b in buckets)
 
 

@@ -45,10 +45,6 @@ class SizeTooSmall(FedransomError, ValueError):
     """Synthetic binary size below the 1 KiB minimum."""
 
 
-class InvalidSplitSpec(FedransomError, ValueError):
-    """Split fractions not strictly positive or not summing to one."""
-
-
 class LengthMismatch(FedransomError, ValueError):
     """Predictions and labels of different lengths."""
 

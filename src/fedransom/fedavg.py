@@ -37,8 +37,8 @@ class FedConfig:
     n_clients: int = 3
     n_rounds: int = 30
     local_epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 0.006
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
     seed: int = 0
 
     def __post_init__(self) -> None:

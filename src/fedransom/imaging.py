@@ -11,14 +11,13 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidSide
 
-DEFAULT_SIDE = 300
 MIN_SIDE = 8
 # the largest side whose weight frame, 8 + checkpoint.byte_length(side) bytes,
 # fits fedwire.MAX_PAYLOAD: a larger model could train but never federate
 MAX_SIDE = 2896
 
 
-def bytes_to_image(data: bytes, side: int = DEFAULT_SIDE) -> np.ndarray:
+def bytes_to_image(data: bytes, side: int) -> np.ndarray:
     """The first side*side bytes of *data* as a read-only (side, side) float32
     grid of pixel intensities in [0, 1]."""
     if len(data) == 0:

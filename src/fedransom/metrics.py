@@ -44,6 +44,7 @@ class HistoryRow:
     index: int
     train_accuracy: Optional[float]
     val_accuracy: Optional[float]
+    train_loss: Optional[float] = None  # an epoch's mean batch loss; no report file holds it
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,13 @@ def precision_recall_f1(cm: ConfusionMatrix) -> EvalReport:
     )
 
 
-def history_row(index: int, train_accuracy: Optional[float],
-                val_accuracy: Optional[float]) -> HistoryRow:
+def history_row(index: int, train_accuracy: Optional[float], val_accuracy: Optional[float],
+                train_loss: Optional[float] = None) -> HistoryRow:
     return HistoryRow(
         index=index,
         train_accuracy=None if train_accuracy is None else _f32(train_accuracy),
         val_accuracy=None if val_accuracy is None else _f32(val_accuracy),
+        train_loss=train_loss,
     )
 
 

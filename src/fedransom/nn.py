@@ -35,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import Dataset, one_hot
 from .errors import EmptyDataset, FedransomError, InvalidRate, ShapeMismatch
 from .imaging import MAX_SIDE, MIN_SIDE
+from .metrics import HistoryRow, history_row
 
 N_FILTERS = 32
 KERNEL_SIDE = 3
@@ -540,17 +541,9 @@ def accuracy(params: ModelParams, dataset: Dataset, cores: Optional[int] = None)
     return float((labels == dataset.labels).mean())
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    train_loss: float
-    train_accuracy: Optional[float]
-    val_accuracy: Optional[float] = None
-
-
 def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         rng: np.random.Generator, val: Optional[Dataset] = None, score_train: bool = True,
-        cores: Optional[int] = None) -> tuple[ModelParams, list[EpochStats]]:
+        cores: Optional[int] = None) -> tuple[ModelParams, list[HistoryRow]]:
     """Mini-batch SGD over shuffled epochs; the short final batch is kept.
 
     Deterministic for a given generator state: the same seed replays the
@@ -559,6 +552,7 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     two lanes where *cores* allow, as do its accuracy passes; each starts and joins its helper.
     Steps write their models over their gradients in two private sets of
     arrays, never the caller's, which clients may share.
+    The history holds one metrics.HistoryRow per epoch, with its mean batch loss.
     Without *score_train* the per-epoch pass over the training set is
     skipped and train_accuracy is None; the weights do not change.
     """
@@ -567,7 +561,7 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     if train.side != config.side:
         raise ShapeMismatch(f"dataset side {train.side} != config side {config.side}")
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
-    history: list[EpochStats] = []
+    history: list[HistoryRow] = []
     lanes = _Lanes(params, train.images, min(config.batch_size, len(train)), CHUNK_BYTES, cores)
     # the lanes' buffers before the model pair: built after it, wire-300
     # peaked at 265-281 MiB RSS against 256-260 MiB (4 of 4 processes)
@@ -583,10 +577,10 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
                 raise FedransomError(f"loss diverged to {loss} in epoch {epoch}")
             params, pair = sgd_step(params, grads, config.learning_rate, out=grads), pair[::-1]
             losses.append(loss)
-        history.append(EpochStats(
-            epoch=epoch,
+        history.append(history_row(
+            epoch,
+            accuracy(params, train, cores) if score_train else None,
+            accuracy(params, val, cores) if val is not None and len(val) else None,
             train_loss=float(np.mean(losses)),
-            train_accuracy=accuracy(params, train, cores) if score_train else None,
-            val_accuracy=accuracy(params, val, cores) if val is not None and len(val) else None,
         ))
     return params, history

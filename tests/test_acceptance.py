@@ -45,7 +45,7 @@ def desk_corpus(tmp_path_factory):
     t0 = time.perf_counter()
     out = tmp_path_factory.mktemp("desk")
     manifest = corpus.build_corpus(300, (4096, 8192), seed=DESK_SEED, out_dir=out)
-    train_m, val_m, test_m = corpus.split(manifest, corpus.SplitSpec(seed=DESK_SEED))
+    train_m, val_m, test_m = corpus.split(manifest, DESK_SEED)
     sets = {
         "train": corpus.load_dataset(train_m, DESK_SIDE),
         "val": corpus.load_dataset(val_m, DESK_SIDE),
@@ -240,7 +240,7 @@ def test_criterion_9_corpus_separability_and_split_laws(tmp_path):
             for i in range(3000):
                 entries.append(corpus.ManifestEntry(f"{label}/{i}", label, 4096, f"{label}-{i}"))
         manifest = corpus.Manifest(tuple(entries), tmp_path)
-        train, val, test = corpus.split(manifest, corpus.SplitSpec(seed=1))
+        train, val, test = corpus.split(manifest, 1)
         assert (len(train), len(val), len(test)) == (4800, 600, 600)
         for part in (train, val, test):
             labels = part.labels()

@@ -1,3 +1,5 @@
+import math
+import os
 import struct
 import tracemalloc
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from fedransom import checkpoint, fedwire, nn
 from fedransom.errors import CorruptCheckpoint, ShapeMismatch
+from fedransom.imaging import MAX_SIDE
 
 
 def frwm_bytes(tensors) -> bytes:
@@ -146,6 +149,25 @@ def test_load_params_rejects_a_huge_file_before_reading_it(tmp_path, head):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+def test_load_params_refuses_a_side_above_the_largest_before_it_allocates(tmp_path):
+    side = MAX_SIDE + 1  # a 2.1 GB model that every other check would accept
+    assert checkpoint._side(checkpoint.MAGIC, checkpoint.byte_length(MAX_SIDE)) == MAX_SIDE
+    path = tmp_path / "big.frwm"
+    with path.open("wb") as fh:  # every head in place, every payload a sparse hole of zeros
+        for head, shape in zip(checkpoint._heads(side), checkpoint._shapes(side)):
+            fh.write(head)
+            fh.seek(4 * math.prod(shape), os.SEEK_CUR)
+    os.truncate(path, checkpoint.byte_length(side))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpoint, match=f"no model of side 8 to {MAX_SIDE}"):
+            checkpoint.load_params(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _SIDE_8 = checkpoint.params_to_bytes(random_params(side=8, seed=9))

@@ -13,6 +13,7 @@ from helpers import params_equal, parse_history_csv, parse_report
 
 from fedransom import checkpoint, corpus, fedavg, nn
 from fedransom.cli import build_parser, main
+from fedransom.errors import CorruptManifest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -447,6 +448,23 @@ def test_eval_on_a_corrupt_manifest_exits_one_without_a_traceback(tmp_path, line
     assert done.returncode == 1
     assert done.stderr.startswith("fedransom: error:")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("line", [
+    b'{"path": "a\xff.bin", "label": 0, "size": 5000, "sha256": ""}',
+    b'{"path": "a.bin", "label": 0, "size": ' + b"1" * 4301 + b', "sha256": ""}',
+    b'{"path": "a\\u0000.bin", "label": 0, "size": 5000, "sha256": ""}',
+], ids=["not-utf8", "integer-of-4301-digits", "nul-in-path"])
+def test_a_damaged_manifest_line_is_a_corrupt_manifest_naming_it(tmp_path, capsys, line):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(line + b"\n")
+    with pytest.raises(CorruptManifest) as exc:
+        corpus.read_manifest(manifest)
+    assert str(exc.value).startswith(f"{manifest}:1: ")
+    ckpt = tmp_path / "ck.frwm"
+    checkpoint.save_params(nn.init_params(16, 3), ckpt)
+    assert run_cli("eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)) == 1
+    assert capsys.readouterr().err.startswith(f"fedransom: error: {manifest}:1: ")
 
 
 def test_each_subcommand_keeps_its_options():

@@ -7,12 +7,12 @@ import pytest
 from helpers import shannon_entropy
 
 from fedransom import corpus
-from fedransom.corpus import (Manifest, ManifestEntry, SplitSpec, build_corpus,
-                              read_manifest, scan_tree, split, synth_benign,
-                              synth_ransomlike, write_manifest)
+from fedransom.corpus import (Manifest, ManifestEntry, build_corpus, read_manifest,
+                              scan_tree, split, synth_benign, synth_ransomlike,
+                              write_manifest)
 from fedransom.data import from_images
 from fedransom.errors import (CorruptManifest, EmptyDataset, EmptyInput, FedransomError,
-                              InvalidSplitSpec, ShapeMismatch, SizeTooSmall, TooFewSamples)
+                              ShapeMismatch, SizeTooSmall, TooFewSamples)
 from fedransom.imaging import bytes_to_image
 
 
@@ -140,7 +140,7 @@ def _fake_manifest(n_per_class):
 
 
 def test_split_of_balanced_600_is_480_60_60():
-    train, val, test = split(_fake_manifest(300), SplitSpec(seed=5))
+    train, val, test = split(_fake_manifest(300), 5)
     assert (len(train), len(val), len(test)) == (480, 60, 60)
     for part in (train, val, test):
         labels = part.labels()
@@ -148,13 +148,13 @@ def test_split_of_balanced_600_is_480_60_60():
 
 
 def test_split_of_balanced_6000_is_4800_600_600():
-    train, val, test = split(_fake_manifest(3000), SplitSpec(seed=5))
+    train, val, test = split(_fake_manifest(3000), 5)
     assert (len(train), len(val), len(test)) == (4800, 600, 600)
 
 
 def test_split_partition_laws():
     manifest = _fake_manifest(40)
-    train, val, test = split(manifest, SplitSpec(seed=9))
+    train, val, test = split(manifest, 9)
     seen = [e.path for part in (train, val, test) for e in part.entries]
     assert len(seen) == len(set(seen)) == len(manifest)
     assert set(seen) == {e.path for e in manifest.entries}
@@ -162,23 +162,16 @@ def test_split_partition_laws():
 
 def test_split_is_deterministic():
     manifest = _fake_manifest(25)
-    a = split(manifest, SplitSpec(seed=3))
-    b = split(manifest, SplitSpec(seed=3))
-    c = split(manifest, SplitSpec(seed=4))
+    a = split(manifest, 3)
+    b = split(manifest, 3)
+    c = split(manifest, 4)
     assert [p.entries for p in a] == [p.entries for p in b]
     assert [p.entries for p in a] != [p.entries for p in c]
 
 
-def test_split_rejects_degenerate_fractions():
-    with pytest.raises(InvalidSplitSpec):
-        SplitSpec(fractions=(1.0, 0.0, 0.0))
-    with pytest.raises(InvalidSplitSpec):
-        SplitSpec(fractions=(0.5, 0.3, 0.3))
-
-
 def test_split_needs_at_least_ten_samples():
     with pytest.raises(TooFewSamples):
-        split(_fake_manifest(4), SplitSpec())
+        split(_fake_manifest(4), 0)
 
 
 def test_load_dataset_preserves_order_and_labels(tmp_path):
