@@ -107,19 +107,20 @@ class ModelParams:
 
 
 def init_params(side: int, seed: int, dtype=np.float32) -> ModelParams:
-    """Seeded uniform init; scales keep the initial logits close to zero."""
+    """Seeded uniform init; scales keep the initial logits close to zero. The dense weights
+    are one float64 draw cast to *dtype*, drawn in blocks below glibc's 128 KiB mmap threshold."""
     rng = np.random.default_rng(seed)
     conv_bound = math.sqrt(6.0 / (KERNEL_SIDE * KERNEL_SIDE))  # fan_in = 9
-    width = N_FILTERS * side * side
-    dense_bound = math.sqrt(6.0 / (width + N_CLASSES))
-    return ModelParams(
-        conv_kernels=rng.uniform(-conv_bound, conv_bound,
-                                 (N_FILTERS, 1, KERNEL_SIDE, KERNEL_SIDE)).astype(dtype),
-        conv_bias=np.zeros(N_FILTERS, dtype=dtype),
-        dense_weights=rng.uniform(-dense_bound, dense_bound,
-                                  (N_CLASSES, width)).astype(dtype),
-        dense_bias=np.zeros(N_CLASSES, dtype=dtype),
-    )
+    conv_kernels = rng.uniform(-conv_bound, conv_bound,
+                               (N_FILTERS, 1, KERNEL_SIDE, KERNEL_SIDE)).astype(dtype)
+    dense_weights = np.empty((N_CLASSES, N_FILTERS * side * side), dtype)
+    dense_bound = math.sqrt(6.0 / (dense_weights.shape[1] + N_CLASSES))
+    flat, units = dense_weights.reshape(-1), (64 << 10) // 8
+    for start in range(0, flat.size, units):
+        block = flat[start : start + units]
+        block[...] = rng.uniform(-dense_bound, dense_bound, block.size)
+    return ModelParams(conv_kernels, np.zeros(N_FILTERS, dtype=dtype), dense_weights,
+                       np.zeros(N_CLASSES, dtype=dtype))
 
 
 def softmax_output(h: np.ndarray) -> np.ndarray:
@@ -220,15 +221,24 @@ class _Lanes:
     each conv output within *budget* bytes; the calling thread and, where
     *cores* (None: every usable core) and the chunks allow, one helper thread,
     so that no pass's buffers grow with the core count; and one workspace per
-    lane. Each job of two chunks or more starts its own helper and joins it
+    lane, which a fit's scoring passes of up to *scored* samples in predict's chunks
+    share. Each job of two chunks or more starts its own helper and joins it
     before it returns, so the lanes hold no thread and need no closing."""
 
     def __init__(self, params: ModelParams, images: np.ndarray, samples: int, budget: int,
-                 cores: Optional[int], training: bool = True) -> None:
+                 cores: Optional[int], training: bool = True, scored: int = 0) -> None:
         self.step = min(max(1, samples), _chunk_size(params, images, budget))
-        lanes = max(1, min(2, cores or _usable_cores(), -(-samples // self.step)))
-        self.workspaces = tuple(_Workspace(self.step, images, params.conv_kernels, training)
-                                for _ in range(lanes))
+        scoring = min(scored, _chunk_size(params, images, PREDICT_CHUNK_BYTES))
+        chunks = max(-(-samples // self.step), -(-scored // max(1, scoring)))
+        lanes = max(1, min(2, cores or _usable_cores(), chunks))
+        self.workspaces = tuple(_Workspace(max(self.step, scoring), images, params.conv_kernels,
+                                           training) for _ in range(lanes))
+
+    def holds(self, params: ModelParams, batch: np.ndarray, step: int) -> bool:
+        """Whether chunks of *step* samples of *batch* fit these workspaces, in its own dtypes."""
+        act, padded = self.workspaces[0].act, self.workspaces[0].padded
+        return (padded.dtype == batch.dtype and padded[0, 2:, 2:].shape == batch.shape[2:]
+                and act.dtype == np.result_type(params.conv_kernels, batch) and len(act) >= step)
 
     def run(self, chunks: int, work: Callable[[int, _Workspace], None]) -> None:
         """work(k, workspace) for each chunk k < chunks, on lane k % lanes.
@@ -508,7 +518,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float, *,
 
 
 def predict(params: ModelParams, batch: np.ndarray, threshold: float = 0.5, *,
-            cores: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+            cores: Optional[int] = None, lanes: Optional[_Lanes] = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode class labels and probabilities, in the dtype the model
     computes them in.
 
@@ -516,28 +527,34 @@ def predict(params: ModelParams, batch: np.ndarray, threshold: float = 0.5, *,
     exceeds *threshold*; at the default 0.5 this is argmax with the exact
     tie resolved to class 0. Chunks run on two lanes where *cores* allow,
     each conv output within PREDICT_CHUNK_BYTES, a budget smaller than fit's;
-    the pass starts its helper thread and joins it before it returns.
+    the pass starts its helper thread and joins it before it returns. Its
+    chunks run in the workspaces of *lanes* (fit's) where they fit them.
     """
     _check_batch(params, batch)
     n = batch.shape[0]
     probs = np.empty((n, N_CLASSES), np.result_type(params.dense_weights, batch))
-    lanes = _Lanes(params, batch, n, PREDICT_CHUNK_BYTES, cores, training=False)
+    step = min(max(1, n), _chunk_size(params, batch, PREDICT_CHUNK_BYTES))
+    if lanes is None or not lanes.holds(params, batch, step):
+        lanes = _Lanes(params, batch, n, PREDICT_CHUNK_BYTES, cores, training=False)
 
     def work(k: int, workspace: _Workspace) -> None:
-        part = slice(k * lanes.step, (k + 1) * lanes.step)
+        part = slice(k * step, (k + 1) * step)
         act = conv2d_same(batch[part], params.conv_kernels, params.conv_bias,
                           workspace=workspace)
         np.maximum(act, 0, out=act)  # ReLU
         logits = _logits(act.reshape(len(act), -1), params.dense_weights) + params.dense_bias
         probs[part] = softmax_output(logits)
 
-    lanes.run(-(-n // lanes.step), work)
+    lanes.run(-(-n // step), work)
     labels = (probs[:, 1] > threshold).astype(np.int64)
     return labels, probs
 
 
-def accuracy(params: ModelParams, dataset: Dataset, cores: Optional[int] = None) -> float:
-    labels, _ = predict(params, dataset.images, cores=cores)
+def accuracy(params: ModelParams, dataset: Dataset, cores: Optional[int] = None, *,
+             lanes: Optional[_Lanes] = None) -> float:
+    if len(dataset) == 0:
+        raise EmptyDataset("cannot score an empty dataset")
+    labels, _ = predict(params, dataset.images, cores=cores, lanes=lanes)
     return float((labels == dataset.labels).mean())
 
 
@@ -549,7 +566,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
     Deterministic for a given generator state: the same seed replays the
     same shuffles, dropout masks, and parameter trajectory bit for bit.
     Each mini-batch goes through batch_loss_and_grad, in chunks that bound its memory, on
-    two lanes where *cores* allow, as do its accuracy passes; each starts and joins its helper.
+    two lanes where *cores* allow, as do its accuracy passes, in the same workspaces; each
+    starts and joins its helper.
     Steps write their models over their gradients in two private sets of
     arrays, never the caller's, which clients may share.
     The history holds one metrics.HistoryRow per epoch, with its mean batch loss.
@@ -562,7 +580,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
         raise ShapeMismatch(f"dataset side {train.side} != config side {config.side}")
     labels = one_hot(train.labels).astype(params.dense_bias.dtype)
     history: list[HistoryRow] = []
-    lanes = _Lanes(params, train.images, min(config.batch_size, len(train)), CHUNK_BYTES, cores)
+    lanes = _Lanes(params, train.images, min(config.batch_size, len(train)), CHUNK_BYTES, cores,
+                   scored=max(len(train) if score_train else 0, len(val or ())))
     # the lanes' buffers before the model pair: built after it, wire-300
     # peaked at 265-281 MiB RSS against 256-260 MiB (4 of 4 processes)
     pair = tuple(ModelParams(*map(np.empty_like, params.named().values())) for _ in range(2))
@@ -579,8 +598,8 @@ def fit(params: ModelParams, train: Dataset, config: TrainConfig,
             losses.append(loss)
         history.append(history_row(
             epoch,
-            accuracy(params, train, cores) if score_train else None,
-            accuracy(params, val, cores) if val is not None and len(val) else None,
+            accuracy(params, train, cores, lanes=lanes) if score_train else None,
+            accuracy(params, val, cores, lanes=lanes) if val is not None and len(val) else None,
             train_loss=float(np.mean(losses)),
         ))
     return params, history

@@ -14,6 +14,7 @@ from fedransom import nn
 from fedransom.data import Dataset, one_hot
 from fedransom.errors import EmptyDataset, InvalidRate, ShapeMismatch
 from fedransom.imaging import MAX_SIDE
+from fedransom.metrics import history_row
 
 
 def test_softmax_symmetry():
@@ -334,6 +335,12 @@ def test_fit_rejects_empty_dataset():
     empty = tiny_dataset(n=20, side=8, seed=0).subset([])
     with pytest.raises(EmptyDataset):
         nn.fit(nn.init_params(8, 0), empty, nn.TrainConfig(side=8), np.random.default_rng(0))
+
+
+def test_accuracy_of_an_empty_dataset_raises():
+    empty = tiny_dataset(n=4, side=8, seed=0).subset([])
+    with pytest.raises(EmptyDataset):
+        nn.accuracy(nn.init_params(8, 0), empty)
 
 
 def test_fit_keeps_short_final_batch():
@@ -759,6 +766,70 @@ def test_fit_and_predict_call_the_timed_layers_through_the_module(monkeypatch):
     assert calls == ["conv2d_same"] * 4
 
 
+@pytest.mark.parametrize("val_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train_chunk, predict_chunk", [(3, 5), (5, 3)])
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_fits_accuracies_equal_standalone_accuracy_on_the_fitted_model(
+        monkeypatch, lanes, train_chunk, predict_chunk, val_dtype):
+    # one epoch of 6-sample steps, then passes over 17 training and 11 val
+    # samples in predict's chunks, larger or smaller than a step's, in the
+    # fit's one plan; float64 val images do not fit its workspaces and plan their own
+    side = 12
+    train, val = tiny_dataset(n=17, side=side, seed=45), tiny_dataset(n=11, side=side, seed=46)
+    val = Dataset(val.images.astype(val_dtype), val.labels)
+    cfg = nn.TrainConfig(side=side, epochs=1, batch_size=6, learning_rate=0.05)
+    monkeypatch.setattr(nn, "CHUNK_BYTES", _chunk_bytes(train_chunk, side, itemsize=4))
+    monkeypatch.setattr(nn, "PREDICT_CHUNK_BYTES", _chunk_bytes(predict_chunk, side, itemsize=4))
+    monkeypatch.setattr(nn, "_usable_cores", lambda: lanes)
+    real_lanes, real_predict, plans, scored = nn._Lanes, nn.predict, [], []
+
+    def planned(*args, **kwargs):
+        plans.append(real_lanes(*args, **kwargs))
+        return plans[-1]
+
+    def recorded(*args, **kwargs):
+        labels, probs = real_predict(*args, **kwargs)
+        scored.append(probs.tobytes())
+        return labels, probs
+
+    monkeypatch.setattr(nn, "_Lanes", planned)
+    monkeypatch.setattr(nn, "predict", recorded)
+    fitted, history = nn.fit(nn.init_params(side, 7), train, cfg, np.random.default_rng(3), val)
+    assert len(plans) == (1 if val_dtype == np.float32 else 2)
+    assert len(plans[0].workspaces) == lanes
+    monkeypatch.setattr(nn, "_Lanes", real_lanes)
+    monkeypatch.setattr(nn, "predict", real_predict)
+    assert scored == [nn.predict(fitted, d.images)[1].tobytes() for d in (train, val)]
+    assert history == [history_row(0, nn.accuracy(fitted, train), nn.accuracy(fitted, val),
+                                   train_loss=history[0].train_loss)]
+
+
+def test_a_fits_accuracy_passes_reuse_its_step_lanes_at_reference_side(monkeypatch):
+    # 4 training and 2 val samples at side 300: steps of two 2-sample chunks
+    # on two lanes, scoring passes of 1-sample chunks. Run in lanes of their
+    # own, the passes added about two predict lanes (~30 MiB) to the peak
+    monkeypatch.setattr(nn, "_usable_cores", lambda: 2)
+    side, rng = 300, np.random.default_rng(16)
+    train, val = (Dataset(rng.random((n, 1, side, side), dtype=np.float32),
+                          np.arange(n, dtype=np.int64) % 2) for n in (4, 2))
+    cfg = nn.TrainConfig(side=side, epochs=1, batch_size=4)
+    params = nn.init_params(side, 0)
+    assert nn._chunk_size(params, train.images, nn.CHUNK_BYTES) == 2
+    assert nn._chunk_size(params, train.images, nn.PREDICT_CHUNK_BYTES) == 1
+    peaks = {}
+    for scored in (False, True):
+        tracemalloc.start()
+        try:
+            nn.fit(params, train, cfg, np.random.default_rng(0), val if scored else None,
+                   score_train=scored)
+            _, peaks[scored] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    lane_conv = nn.N_FILTERS * side * side * 4  # one predict lane's conv output
+    assert peaks[True] - peaks[False] < lane_conv, \
+        f"scoring added {(peaks[True] - peaks[False]) / lane_conv:.2f}x a predict lane's conv output"
+
+
 def _step_transients(monkeypatch, train, cfg):
     """One fit epoch; for each SGD step, the traced peak during the step less
     the memory live when it began."""
@@ -1024,6 +1095,35 @@ def test_lean_training_step_memory_at_reference_side():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2 ** 20, f"one fit epoch peaked at {peak / 2 ** 20:.0f} MiB"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("side, seed", [(8, 0), (37, 5), (64, 2 ** 70)])
+def test_init_params_takes_the_bits_of_one_float64_draw(side, seed, dtype):
+    # the dense weights are drawn block by block, with the bits of one draw cast once
+    rng = np.random.default_rng(seed)
+    conv_bound = math.sqrt(6.0 / 9)
+    kernels = rng.uniform(-conv_bound, conv_bound, (32, 1, 3, 3)).astype(dtype)
+    width = 32 * side * side
+    dense_bound = math.sqrt(6.0 / (width + 2))
+    dense = rng.uniform(-dense_bound, dense_bound, (2, width)).astype(dtype)
+    params = nn.init_params(side, seed, dtype)
+    assert all(a.dtype == dtype for a in params.named().values())
+    assert params.conv_kernels.tobytes() == kernels.tobytes()
+    assert params.dense_weights.tobytes() == dense.tobytes()
+    assert not params.conv_bias.any() and not params.dense_bias.any()
+
+
+def test_init_params_holds_no_draw_of_the_dense_weights_size():
+    # one float64 draw cast at the end peaked at 65.9 MiB at side 300,
+    # nearly three times the 22 MiB float32 weights
+    tracemalloc.start()
+    try:
+        params = nn.init_params(300, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.dense_weights.nbytes + 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_parameter_counts_at_reference_side():
